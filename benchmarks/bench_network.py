@@ -36,7 +36,6 @@ import os
 import pathlib
 import re
 import signal
-import statistics
 import subprocess
 import sys
 import threading
@@ -44,11 +43,13 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
+from repro.analysis.latency import latency_summary
 from repro.errors import ReproError
 from repro.node.faults import FaultKind, FaultRule, FaultSchedule
 from repro.node.messages import PingRequest, PongResponse, QueryRequest
 from repro.node.net import SocketFaultInjector
 from repro.node.netclient import ClientConnection, ConnectionPool
+from repro.node.session import RetryPolicy
 from repro.workload.generator import WorkloadParams, generate_workload
 
 BLOCKS = int(os.environ.get("LVQ_NETWORK_BLOCKS", "64"))
@@ -72,24 +73,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_network.json"
 
 _SERVE_RE = re.compile(r"serving on ([0-9.]+):(\d+)")
-
-
-def _percentile(sorted_values, quantile):
-    if not sorted_values:
-        return 0.0
-    rank = round(quantile * (len(sorted_values) - 1))
-    return sorted_values[rank]
-
-
-def _latency_block(samples_s):
-    ordered = sorted(samples_s)
-    return {
-        "count": len(ordered),
-        "p50_ms": _percentile(ordered, 0.50) * 1e3,
-        "p99_ms": _percentile(ordered, 0.99) * 1e3,
-        "mean_ms": (statistics.fmean(ordered) * 1e3) if ordered else 0.0,
-        "max_ms": (max(ordered) * 1e3) if ordered else 0.0,
-    }
 
 
 def _spawn_daemon(max_connections):
@@ -202,7 +185,7 @@ def _phase_steady(address_frames, server_address):
         "failed": len(errors),
         "wrong_answers": len(wrong),
         "qps": (len(latencies) / elapsed) if elapsed else 0.0,
-        "latency": _latency_block(latencies),
+        "latency": latency_summary(latencies),
     }
 
 
@@ -286,7 +269,7 @@ def _phase_scale(address_frames, server_address):
         "served": len(latencies),
         "failures": len(failures),
         "wrong_answers": len(wrong),
-        "latency": _latency_block(latencies),
+        "latency": latency_summary(latencies),
     }
 
 
@@ -309,8 +292,7 @@ def _phase_chaos(address_frames, server_address):
             injector.address,
             size=4,
             request_timeout=2.0,
-            backoff_base=0.005,
-            backoff_max=0.05,
+            backoff=RetryPolicy(base_delay=0.005, max_delay=0.05),
             seed=SEED,
         )
         try:

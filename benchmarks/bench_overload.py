@@ -41,7 +41,6 @@ import pathlib
 import random
 import re
 import signal
-import statistics
 import subprocess
 import sys
 import threading
@@ -50,6 +49,7 @@ import urllib.request
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
+from repro.analysis.latency import latency_summary
 from repro.errors import (
     BackpressureError,
     RateLimitedError,
@@ -95,24 +95,6 @@ _BACKPRESSURE_KINDS = {
     RequestShedError: "shed",
     ServerOverloadedError: "queue_full",
 }
-
-
-def _percentile(sorted_values, quantile):
-    if not sorted_values:
-        return 0.0
-    rank = round(quantile * (len(sorted_values) - 1))
-    return sorted_values[rank]
-
-
-def _latency_block(samples_s):
-    ordered = sorted(samples_s)
-    return {
-        "count": len(ordered),
-        "p50_ms": _percentile(ordered, 0.50) * 1e3,
-        "p99_ms": _percentile(ordered, 0.99) * 1e3,
-        "mean_ms": (statistics.fmean(ordered) * 1e3) if ordered else 0.0,
-        "max_ms": (max(ordered) * 1e3) if ordered else 0.0,
-    }
 
 
 def _spawn_daemon():
@@ -292,7 +274,7 @@ def _phase_burst(frames, server_address):
     results["qps_admitted"] = (
         results["admitted"] / elapsed if elapsed else 0.0
     )
-    results["interactive_latency"] = _latency_block(interactive_latencies)
+    results["interactive_latency"] = latency_summary(interactive_latencies)
     return results
 
 

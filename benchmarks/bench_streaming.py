@@ -37,12 +37,12 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import statistics
 import sys
 import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
+from repro.analysis.latency import latency_summary
 from repro.node.faults import FaultKind, FaultRule, FaultSchedule
 from repro.node.full_node import FullNode
 from repro.node.light_node import LightNode
@@ -70,24 +70,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_streaming.json"
 
 _SPARE = 16  # nudge blocks kept beyond the scripted appends
-
-
-def _percentile(sorted_values, quantile):
-    if not sorted_values:
-        return 0.0
-    rank = round(quantile * (len(sorted_values) - 1))
-    return sorted_values[rank]
-
-
-def _latency_block(samples_s):
-    ordered = sorted(samples_s)
-    return {
-        "count": len(ordered),
-        "p50_ms": _percentile(ordered, 0.50) * 1e3,
-        "p99_ms": _percentile(ordered, 0.99) * 1e3,
-        "mean_ms": (statistics.fmean(ordered) * 1e3) if ordered else 0.0,
-        "max_ms": (max(ordered) * 1e3) if ordered else 0.0,
-    }
 
 
 def _build_world():
@@ -270,7 +252,7 @@ def main() -> int:
                 s.stats.backfills for s in sessions
             ),
             "wallet_spot_checks_ok": all(spot_checks),
-            "notify_latency": _latency_block(latencies),
+            "notify_latency": latency_summary(latencies),
         }
         report["scale"] = scale
         print(
@@ -402,6 +384,15 @@ def main() -> int:
         )
         report["server_stats"] = server.stats.as_dict()
         report["registry_stats"] = registry.stats.as_dict()
+        pool = server.query_server.stats()
+        report["query_server_stats"] = {
+            key: pool[key]
+            for key in (
+                "workers", "max_pending", "submitted", "completed",
+                "failed", "rejected", "peak_queue_depth",
+            )
+        }
+        report["query_server_stats"]["shed"] = pool["admission"]["shed"]
     finally:
         for session in sessions:
             session.stop()

@@ -63,7 +63,9 @@ PRIO_BATCH = 2
 #: already holds a verified prefix and can always retry the pull path.
 PRIO_BACKFILL = 3
 
-PRIORITY_NAMES = ("interactive", "sync", "batch", "backfill")
+#: Class names, indexed by priority (the same tuple rides the wire in
+#: RequestShedError params).
+PRIORITY_NAMES = _messages.SHED_PRIORITIES
 
 #: Default weighted-fair drain ratio (indexed by priority class).
 DEFAULT_WEIGHTS = (8, 4, 2, 1)
@@ -76,32 +78,33 @@ _SHED_ALL_CLASSES = frozenset(
 )
 
 
+#: Traffic class of every pooled request tag, from the wire-tag table.
+_TAG_PRIORITY = {
+    tag: PRIORITY_NAMES.index(row.priority)
+    for tag, row in _messages.WIRE_TAGS.items()
+    if row.priority is not None
+}
+
+
 def classify(payload: bytes) -> int:
     """Priority class of one request frame (scheduling hint only).
 
-    Tags map directly except single queries: an open-ended query
-    (``last_height == 0`` — "up to your tip", the interactive wallet
-    shape) is interactive, while an explicitly bounded historical range
-    is backfill-class — that is the frame a subscription gap-heal or a
-    catch-up re-sync sends, and it is always retryable against the
-    verified pull path.  Misclassification can only move a request
-    between latency classes; it never changes what verifies.
+    The wire-tag table gives each request's class, with one content
+    rule on top: an open-ended single query (``last_height == 0`` —
+    "up to your tip", the interactive wallet shape) is interactive,
+    while an explicitly bounded historical range is backfill-class —
+    that is the frame a subscription gap-heal or a catch-up re-sync
+    sends, and it is always retryable against the verified pull path.
+    Misclassification can only move a request between latency classes;
+    it never changes what verifies.
     """
-    tag = payload[0]
-    if tag == _messages._MSG_QUERY_REQUEST:
+    if payload[0] == _messages.QueryRequest.type_tag:
         try:
             request = _messages.QueryRequest.deserialize(payload)
         except Exception:  # noqa: BLE001 - malformed: let the worker reject
             return PRIO_INTERACTIVE
         return PRIO_INTERACTIVE if request.last_height == 0 else PRIO_BACKFILL
-    if tag in (
-        _messages._MSG_HEADERS_REQUEST,
-        _messages._MSG_DELTA_HEADERS_REQUEST,
-    ):
-        return PRIO_SYNC
-    if tag in (_messages._MSG_BATCH_REQUEST, _messages._MSG_AGG_BATCH_REQUEST):
-        return PRIO_BATCH
-    return PRIO_INTERACTIVE
+    return _TAG_PRIORITY.get(payload[0], PRIO_INTERACTIVE)
 
 
 # -- token buckets -----------------------------------------------------------

@@ -23,12 +23,7 @@ from __future__ import annotations
 import weakref
 
 from repro.errors import QueryError
-from repro.node.messages import (
-    HeadersRequest,
-    HeadersResponse,
-    QueryRequest,
-    QueryResponse,
-)
+from repro.node.messages import QueryRequest, QueryResponse, decode_request
 from repro.query.builder import BuiltSystem
 from repro.query.cache import ResponseCache
 from repro.query.prover import answer_query
@@ -124,27 +119,16 @@ class FullNode:
             return self.response_cache.get_or_build(key, build)
 
     def handle_batch_query(self, payload: bytes) -> bytes:
-        from repro.node.messages import (
-            _MSG_AGG_BATCH_REQUEST,
-            AggregatedBatchRequest,
-            AggregatedBatchResponse,
-            BatchQueryRequest,
-            BatchQueryResponse,
-        )
-
         # The request tag selects the response encoding: the aggregated
         # tag asks for the blob-table form (§8.1), the plain tag for the
-        # PR 5 per-fragment form, kept as the byte-equivalence oracle.
-        aggregated = bool(payload) and payload[0] == _MSG_AGG_BATCH_REQUEST
-        request_cls = AggregatedBatchRequest if aggregated else BatchQueryRequest
-        request = request_cls.deserialize(payload)
+        # per-fragment form, kept as the byte-equivalence oracle.
+        request, response_cls = decode_request(payload, "handle_batch_query")
         if not request.addresses:
             raise QueryError("batch query request carries no addresses")
         if any(not address for address in request.addresses):
             raise QueryError("empty address in batch query request")
         last = request.last_height if request.last_height else None
         batch = self.answer_batch(request.addresses, request.first_height, last)
-        response_cls = AggregatedBatchResponse if aggregated else BatchQueryResponse
         return response_cls(batch).serialize(self.system.config)
 
     def answer_batch(
@@ -161,16 +145,8 @@ class FullNode:
         )
 
     def handle_headers(self, payload: bytes) -> bytes:
-        from repro.node.messages import (
-            _MSG_DELTA_HEADERS_REQUEST,
-            DeltaHeadersRequest,
-            DeltaHeadersResponse,
-        )
-
-        delta = bool(payload) and payload[0] == _MSG_DELTA_HEADERS_REQUEST
-        request_cls = DeltaHeadersRequest if delta else HeadersRequest
-        request = request_cls.deserialize(payload)
-        response_cls = DeltaHeadersResponse if delta else HeadersResponse
+        # Plain or delta-encoded (§8.2), as the request tag selects.
+        request, response_cls = decode_request(payload, "handle_headers")
         with self.system.lock.read():
             if request.from_height > self.tip_height + 1:
                 raise QueryError(

@@ -5,11 +5,17 @@ a full-node server; the communication cost it reports is the size of the
 response.  These message classes give that cost a concrete wire form: a
 one-byte type tag plus a length-exact payload.  The transport layer counts
 ``len(message.serialize())`` per direction.
+
+Tags are assigned in one place, :data:`WIRE_TAGS` at the end of this
+module: each row names the message class, how a frame carrying it is
+routed, and — for requests — the handler, the response class and the
+admission traffic class.  The server queue, the TCP front end, the
+admission classifier and the subscription client all dispatch from it.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.chain.block import BlockHeader, deserialize_extension
 from repro.crypto.encoding import ByteReader, write_var_bytes, write_varint
@@ -17,30 +23,6 @@ from repro.crypto.hashing import HASH_SIZE
 from repro.errors import EncodingError
 from repro.query.config import SystemConfig
 from repro.query.result import QueryResult
-
-_MSG_QUERY_REQUEST = 1
-_MSG_QUERY_RESPONSE = 2
-_MSG_HEADERS_REQUEST = 3
-_MSG_HEADERS_RESPONSE = 4
-_MSG_BATCH_REQUEST = 5
-_MSG_BATCH_RESPONSE = 6
-_MSG_DELTA_HEADERS_REQUEST = 7
-_MSG_DELTA_HEADERS_RESPONSE = 8
-_MSG_AGG_BATCH_REQUEST = 9
-_MSG_AGG_BATCH_RESPONSE = 10
-_MSG_ERROR = 11
-_MSG_PING = 12
-_MSG_PONG = 13
-# Subscription tags start at 0x14: 0x0e-0x13 are left unassigned so the
-# compression frame markers (0x10/0x11, transport.py) and room around
-# them can never be mistaken for a message tag on first-byte dispatch.
-_MSG_SUBSCRIBE_REQUEST = 20
-_MSG_SUBSCRIBE_ACK = 21
-_MSG_UNSUBSCRIBE_REQUEST = 22
-_MSG_PUSH_UPDATE = 23
-_MSG_PUSH_RETRACTION = 24
-_MSG_SUBSCRIPTION_EVICTED = 25
-_MSG_HELLO = 26
 
 #: Wire encodings for RequestShedError params (PROTOCOL.md §11.3): the
 #: priority class and shed state ride as indices into these tuples so a
@@ -66,8 +48,6 @@ class QueryRequest:
     """
 
     __slots__ = ("address", "first_height", "last_height")
-
-    type_tag = _MSG_QUERY_REQUEST
 
     def __init__(
         self, address: str, first_height: int = 1, last_height: int = 0
@@ -104,8 +84,6 @@ class QueryResponse:
 
     __slots__ = ("result",)
 
-    type_tag = _MSG_QUERY_RESPONSE
-
     def __init__(self, result: QueryResult) -> None:
         self.result = result
 
@@ -123,8 +101,6 @@ class BatchQueryRequest:
     """Light → full: verifiable histories for several addresses at once."""
 
     __slots__ = ("addresses", "first_height", "last_height")
-
-    type_tag = _MSG_BATCH_REQUEST
 
     def __init__(
         self,
@@ -171,8 +147,6 @@ class BatchQueryResponse:
 
     __slots__ = ("batch",)
 
-    type_tag = _MSG_BATCH_RESPONSE
-
     def __init__(self, batch) -> None:
         self.batch = batch
 
@@ -195,8 +169,6 @@ class HeadersRequest:
 
     __slots__ = ("from_height",)
 
-    type_tag = _MSG_HEADERS_REQUEST
-
     def __init__(self, from_height: int = 0) -> None:
         if from_height < 0:
             raise EncodingError(f"negative height {from_height}")
@@ -218,8 +190,6 @@ class HeadersResponse:
     """Full → light: consecutive headers (the light node's whole storage)."""
 
     __slots__ = ("from_height", "headers")
-
-    type_tag = _MSG_HEADERS_RESPONSE
 
     def __init__(self, from_height: int, headers: List[BlockHeader]) -> None:
         self.from_height = from_height
@@ -265,8 +235,6 @@ class DeltaHeadersRequest(HeadersRequest):
     an old server simply rejects the unknown tag.
     """
 
-    type_tag = _MSG_DELTA_HEADERS_REQUEST
-
 
 class DeltaHeadersResponse:
     """Full → light: consecutive headers with the prev-hash implied.
@@ -280,8 +248,6 @@ class DeltaHeadersResponse:
     """
 
     __slots__ = ("from_height", "headers")
-
-    type_tag = _MSG_DELTA_HEADERS_RESPONSE
 
     def __init__(self, from_height: int, headers: List[BlockHeader]) -> None:
         self.from_height = from_height
@@ -364,15 +330,11 @@ class AggregatedBatchRequest(BatchQueryRequest):
     response format (§8.1).
     """
 
-    type_tag = _MSG_AGG_BATCH_REQUEST
-
 
 class AggregatedBatchResponse:
     """Full → light: a :class:`BatchQueryResult` in blob-table form."""
 
     __slots__ = ("batch",)
-
-    type_tag = _MSG_AGG_BATCH_RESPONSE
 
     def __init__(self, batch) -> None:
         self.batch = batch
@@ -408,8 +370,6 @@ class ErrorResponse:
     """
 
     __slots__ = ("kind", "message", "params")
-
-    type_tag = _MSG_ERROR
 
     def __init__(
         self, kind: str, message: str, params: "tuple[int, ...]" = ()
@@ -501,8 +461,6 @@ class PingRequest:
 
     __slots__ = ("nonce",)
 
-    type_tag = _MSG_PING
-
     def __init__(self, nonce: int = 0) -> None:
         if nonce < 0:
             raise EncodingError(f"negative ping nonce {nonce}")
@@ -529,8 +487,6 @@ class PongResponse:
     """
 
     __slots__ = ("nonce", "tip_height")
-
-    type_tag = _MSG_PONG
 
     def __init__(self, nonce: int, tip_height: int) -> None:
         if nonce < 0 or tip_height < 0:
@@ -576,8 +532,6 @@ class HelloRequest:
 
     __slots__ = ("client_id",)
 
-    type_tag = _MSG_HELLO
-
     def __init__(self, client_id: str) -> None:
         if not client_id:
             raise EncodingError("hello needs a non-empty client id")
@@ -616,8 +570,6 @@ class SubscribeRequest:
     """
 
     __slots__ = ("addresses",)
-
-    type_tag = _MSG_SUBSCRIBE_REQUEST
 
     def __init__(self, addresses: "List[str]") -> None:
         if not addresses:
@@ -666,8 +618,6 @@ class SubscribeAck:
 
     __slots__ = ("subscription_id", "tip_height")
 
-    type_tag = _MSG_SUBSCRIBE_ACK
-
     def __init__(self, subscription_id: int, tip_height: int) -> None:
         if subscription_id < 1 or tip_height < 0:
             raise EncodingError(
@@ -697,8 +647,6 @@ class UnsubscribeRequest:
     """Client → server: drop one subscription (answered by an ack)."""
 
     __slots__ = ("subscription_id",)
-
-    type_tag = _MSG_UNSUBSCRIBE_REQUEST
 
     def __init__(self, subscription_id: int) -> None:
         if subscription_id < 1:
@@ -736,8 +684,6 @@ class PushUpdate:
     """
 
     __slots__ = ("height", "header_bytes", "batch_bytes")
-
-    type_tag = _MSG_PUSH_UPDATE
 
     def __init__(
         self, height: int, header_bytes: bytes, batch_bytes: bytes
@@ -784,8 +730,6 @@ class PushRetraction:
 
     __slots__ = ("fork_height", "old_tip")
 
-    type_tag = _MSG_PUSH_RETRACTION
-
     def __init__(self, fork_height: int, old_tip: int) -> None:
         if fork_height < 0 or old_tip < fork_height:
             raise EncodingError(
@@ -822,8 +766,6 @@ class SubscriptionEvicted:
 
     __slots__ = ("subscription_id", "dropped_frames", "reason")
 
-    type_tag = _MSG_SUBSCRIPTION_EVICTED
-
     def __init__(
         self, subscription_id: int, dropped_frames: int, reason: str
     ) -> None:
@@ -859,6 +801,109 @@ class SubscriptionEvicted:
         return SubscriberEvictedError(
             self.subscription_id, self.dropped_frames, self.reason
         )
+
+
+# -- the wire-tag table (PROTOCOL.md §3) -----------------------------------
+
+#: Request answered by a :class:`~repro.node.full_node.FullNode` handler
+#: on the :class:`~repro.node.server.QueryServer` worker pool.
+ROUTE_POOLED = "pooled"
+#: Request answered on its connection by a
+#: :class:`~repro.node.net.NetServer` method, never queued.
+ROUTE_INLINE = "inline"
+#: Server → client answer to a request.
+ROUTE_RESPONSE = "response"
+#: Server → client frame on a subscription stream, unsolicited.
+ROUTE_PUSH = "push"
+
+#: Tags no message may take: ``0x10``/``0x11`` are the compression frame
+#: markers (transport.py), and the band around them stays free so
+#: first-byte dispatch can never mistake a marker for a message.
+RESERVED_TAGS = frozenset(range(0x0E, 0x14))
+
+
+class WireTag(NamedTuple):
+    """One assigned tag: its message class and how a frame is routed.
+
+    ``handler`` names the method that answers a request — a ``FullNode``
+    method for pooled requests, a ``NetServer`` method for inline ones.
+    Pooled rows also give ``response``, the class their answer is
+    encoded as, and ``priority``, the admission traffic class (one of
+    :data:`SHED_PRIORITIES`).
+    """
+
+    tag: int
+    message: type
+    route: str
+    handler: Optional[str] = None
+    response: Optional[type] = None
+    priority: Optional[str] = None
+
+
+def _build_table(rows: "List[WireTag]") -> "Dict[int, WireTag]":
+    """Index ``rows`` by tag and stamp each class's ``type_tag``.
+
+    Raises :class:`ValueError` on a duplicate or reserved tag, so a
+    colliding assignment fails at import instead of misrouting frames.
+    """
+    table: "Dict[int, WireTag]" = {}
+    for row in rows:
+        if row.tag in RESERVED_TAGS:
+            raise ValueError(f"tag {row.tag:#04x} is reserved")
+        if row.tag in table:
+            raise ValueError(f"tag {row.tag:#04x} assigned twice")
+        if row.priority is not None and row.priority not in SHED_PRIORITIES:
+            raise ValueError(f"unknown traffic class {row.priority!r}")
+        table[row.tag] = row
+    for row in table.values():
+        row.message.type_tag = row.tag
+    return table
+
+
+#: Every assigned tag: the single source of truth for first-byte dispatch.
+WIRE_TAGS = _build_table(
+    [
+        WireTag(0x01, QueryRequest, ROUTE_POOLED,
+                "handle_query", QueryResponse, "interactive"),
+        WireTag(0x02, QueryResponse, ROUTE_RESPONSE),
+        WireTag(0x03, HeadersRequest, ROUTE_POOLED,
+                "handle_headers", HeadersResponse, "sync"),
+        WireTag(0x04, HeadersResponse, ROUTE_RESPONSE),
+        WireTag(0x05, BatchQueryRequest, ROUTE_POOLED,
+                "handle_batch_query", BatchQueryResponse, "batch"),
+        WireTag(0x06, BatchQueryResponse, ROUTE_RESPONSE),
+        WireTag(0x07, DeltaHeadersRequest, ROUTE_POOLED,
+                "handle_headers", DeltaHeadersResponse, "sync"),
+        WireTag(0x08, DeltaHeadersResponse, ROUTE_RESPONSE),
+        WireTag(0x09, AggregatedBatchRequest, ROUTE_POOLED,
+                "handle_batch_query", AggregatedBatchResponse, "batch"),
+        WireTag(0x0A, AggregatedBatchResponse, ROUTE_RESPONSE),
+        WireTag(0x0B, ErrorResponse, ROUTE_RESPONSE),
+        WireTag(0x0C, PingRequest, ROUTE_INLINE, "_serve_ping"),
+        WireTag(0x0D, PongResponse, ROUTE_RESPONSE),
+        WireTag(0x14, SubscribeRequest, ROUTE_INLINE, "_serve_subscribe"),
+        WireTag(0x15, SubscribeAck, ROUTE_RESPONSE),
+        WireTag(0x16, UnsubscribeRequest, ROUTE_INLINE, "_serve_unsubscribe"),
+        WireTag(0x17, PushUpdate, ROUTE_PUSH),
+        WireTag(0x18, PushRetraction, ROUTE_PUSH),
+        WireTag(0x19, SubscriptionEvicted, ROUTE_PUSH),
+        WireTag(0x1A, HelloRequest, ROUTE_INLINE, "_serve_hello"),
+    ]
+)
+
+
+def decode_request(payload: bytes, handler: str):
+    """Decode a pooled request frame bound for ``handler``.
+
+    Returns ``(request, response class)``; the tag alone selects the
+    response encoding (plain vs delta headers, plain vs aggregated
+    batch).  Raises :class:`EncodingError` for any frame the table does
+    not route to ``handler``.
+    """
+    row = WIRE_TAGS.get(payload[0]) if payload else None
+    if row is None or row.handler != handler:
+        raise EncodingError(f"not a {handler} request frame")
+    return row.message.deserialize(payload), row.response
 
 
 def _expect_tag(reader: ByteReader, tag: int) -> None:

@@ -3,13 +3,13 @@
 Everything before this module exchanged frames through a function call;
 this is the piece that puts them on a real socket.  The wire format is
 deliberately minimal — a 4-byte big-endian length prefix followed by one
-existing wire-tag frame (tags 1–13, or a FRAME_ZLIB/FRAME_ZSTD
-compressed frame) — so every byte after the prefix is already covered by
-the strictness and chaos suites.
+existing wire-tag frame (a :data:`~repro.node.messages.WIRE_TAGS` tag, or
+a FRAME_ZLIB/FRAME_ZSTD compressed frame) — so every byte after the prefix
+is already covered by the strictness and chaos suites.
 
 * :class:`NetServer` — serves a :class:`~repro.node.server.QueryServer`
-  (or a bare :class:`~repro.node.full_node.FullNode`) over TCP with
-  per-connection read/write deadlines, idle-connection reaping, a
+  (wrapping a bare :class:`~repro.node.full_node.FullNode` in one) over
+  TCP with per-connection read/write deadlines, idle-connection reaping, a
   max-concurrent-connections gate that rejects with a typed
   :class:`~repro.errors.ConnectionLimitError` frame, graceful drain, and
   an :meth:`NetServer.abort` hard-kill for crash testing.  Handler
@@ -34,6 +34,7 @@ from __future__ import annotations
 import asyncio
 import struct
 import threading
+import time
 from collections import deque
 from typing import Callable, Optional, Set, Tuple
 
@@ -45,7 +46,7 @@ from repro.errors import (
 )
 from repro.node import messages as _messages
 from repro.node.faults import FaultKind, FaultSchedule
-from repro.node.server import _DISPATCH
+from repro.node.server import QueryServer
 from repro.node.transport import (
     DEFAULT_MAX_FRAME_BYTES,
     FRAME_ZLIB,
@@ -125,51 +126,6 @@ class NetServerStats:
 
     def as_dict(self) -> "dict[str, int]":
         return {name: getattr(self, name) for name in self.__slots__}
-
-
-class _Target:
-    """Adapts a QueryServer (worker pool) or bare FullNode to one
-    ``serve(payload) -> bytes`` coroutine."""
-
-    __slots__ = ("query_server", "node")
-
-    def __init__(self, target) -> None:
-        if hasattr(target, "submit"):
-            self.query_server = target
-            self.node = target.node
-        else:
-            self.query_server = None
-            self.node = target
-
-    @property
-    def tip_height(self) -> int:
-        return self.node.tip_height
-
-    async def serve(
-        self, payload: bytes, client: Optional[str] = None
-    ) -> bytes:
-        if self.query_server is not None:
-            # submit() raises synchronously on admission refusal (rate
-            # limited / shed / queue full) or unknown tag; the caller
-            # turns any of them into a typed error frame.
-            future = self.query_server.submit(payload, client)
-            return await asyncio.wrap_future(future)
-        if not payload:
-            raise QueryError("empty request payload")
-        handler_name = _DISPATCH.get(payload[0])
-        if handler_name is None:
-            raise QueryError(f"unknown request tag {payload[0]}")
-        handler = getattr(self.node, handler_name)
-        return await asyncio.get_running_loop().run_in_executor(
-            None, handler, payload
-        )
-
-
-#: Request tags routed to the subscription registry instead of _Target.
-_SUBSCRIPTION_TAGS = (
-    _messages.SubscribeRequest.type_tag,
-    _messages.UnsubscribeRequest.type_tag,
-)
 
 
 class _PushChannel:
@@ -283,11 +239,15 @@ class _ConnState:
 class NetServer:
     """One node served over loopback/LAN TCP with defensive deadlines.
 
-    ``target`` is a :class:`~repro.node.server.QueryServer` (requests go
-    through its bounded queue and worker pool, so overload surfaces as a
-    typed :class:`~repro.errors.ServerOverloadedError` frame) or a bare
-    :class:`~repro.node.full_node.FullNode` (requests run on the loop's
-    default executor — the lightweight shape the chaos matrix uses).
+    ``target`` is a :class:`~repro.node.server.QueryServer`: pooled
+    requests go through its admission control, bounded queue and worker
+    pool, so overload surfaces as a typed
+    :class:`~repro.errors.BackpressureError` frame.  A bare
+    :class:`~repro.node.full_node.FullNode` is wrapped in a
+    default-settings ``QueryServer`` that this server owns and closes;
+    pass an explicit one for a deeper queue or other limits.  Requests
+    the wire-tag table routes inline (ping, hello, subscribe,
+    unsubscribe) are answered on the connection, never queued.
 
     Deadline semantics (PROTOCOL.md §9.3):
 
@@ -338,7 +298,13 @@ class NetServer:
             raise ValueError(f"push outbox bound must be >= 2, {push_outbox}")
         if push_buffer_bytes is not None and push_buffer_bytes < 0:
             raise ValueError(f"bad push buffer bound {push_buffer_bytes}")
-        self._target = _Target(target)
+        # A bare node is wrapped in start(), so a server that is never
+        # started owns no worker threads.
+        self._target = target
+        self._owns_query_server = not isinstance(target, QueryServer)
+        self.query_server: Optional[QueryServer] = (
+            None if self._owns_query_server else target
+        )
         self.host = host
         self.port = port
         self.max_connections = max_connections
@@ -368,6 +334,8 @@ class NetServer:
         return (self.host, self.port)
 
     def start(self) -> "NetServer":
+        if self.query_server is None:
+            self.query_server = QueryServer(self._target)
         if self._loop_thread is None:
             self._loop_thread = EventLoopThread()
         self._loop_thread.call(self._start())
@@ -380,13 +348,21 @@ class NetServer:
         self.host, self.port = self._server.sockets[0].getsockname()[:2]
 
     def close(self, drain: bool = True, timeout: float = 10.0) -> None:
-        """Stop accepting; optionally let in-flight frames finish first."""
-        if self._closed or self._loop_thread is None:
+        """Stop accepting; optionally let in-flight frames finish first.
+
+        ``timeout`` bounds the whole shutdown, owned query server included.
+        """
+        if self._closed:
             return
         self._closed = True
-        self._loop_thread.call(self._close(drain, timeout))
-        if self._owns_loop:
-            self._loop_thread.stop()
+        deadline = time.monotonic() + timeout
+        if self._loop_thread is not None:
+            self._loop_thread.call(self._close(drain, timeout))
+            if self._owns_loop:
+                self._loop_thread.stop()
+        if self._owns_query_server and self.query_server is not None:
+            remaining = max(0.0, deadline - time.monotonic())
+            self.query_server.close(drain=drain, timeout=remaining)
 
     async def _close(self, drain: bool, timeout: float) -> None:
         self._draining = True
@@ -398,8 +374,7 @@ class NetServer:
                 await asyncio.sleep(0.002)
         for writer in list(self._writers):
             writer.close()
-        for task in list(self._tasks):
-            task.cancel()
+        await self._cancel_tasks()
         if self._server is not None:
             await self._server.wait_closed()
 
@@ -412,6 +387,9 @@ class NetServer:
         self._loop_thread.call(self._abort())
         if self._owns_loop:
             self._loop_thread.stop()
+        if self._owns_query_server and self.query_server is not None:
+            # Don't wait for a running handler: its answer has no socket.
+            self.query_server.close(drain=False, timeout=0)
 
     async def _abort(self) -> None:
         self._draining = True
@@ -419,10 +397,22 @@ class NetServer:
             self._server.close()
         for writer in list(self._writers):
             writer.transport.abort()
-        for task in list(self._tasks):
-            task.cancel()
+        await self._cancel_tasks()
         if self._server is not None:
             await self._server.wait_closed()
+
+    async def _cancel_tasks(self) -> None:
+        """Cancel every connection and push task and wait them out, so
+        none is left pending when the loop stops."""
+        while self._tasks:
+            tasks = list(self._tasks)
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+
+    def _track(self, task: asyncio.Task) -> None:
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     def __enter__(self) -> "NetServer":
         return self.start()
@@ -435,6 +425,7 @@ class NetServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._track(asyncio.current_task())
         if self._draining or self._active >= self.max_connections:
             self.stats.connections_rejected += 1
             error = ConnectionLimitError(self._active, self.max_connections)
@@ -449,9 +440,6 @@ class NetServer:
         self._active += 1
         self.stats.connections_accepted += 1
         self._writers.add(writer)
-        task = asyncio.current_task()
-        if task is not None:
-            self._tasks.add(task)
         try:
             await self._serve_connection(reader, writer)
         except asyncio.CancelledError:
@@ -459,8 +447,6 @@ class NetServer:
         finally:
             self._active -= 1
             self._writers.discard(writer)
-            if task is not None:
-                self._tasks.discard(task)
             writer.close()
 
     async def _serve_connection(
@@ -564,41 +550,61 @@ class NetServer:
                 state.push_task = asyncio.ensure_future(
                     self._push_loop(writer, state)
                 )
+                self._track(state.push_task)
 
-    async def _handle_subscription(
-        self, payload: bytes, state: _ConnState
-    ) -> bytes:
-        """Serve one subscribe/unsubscribe frame on the event loop.
+    # -- inline requests (WIRE_TAGS route "inline") -------------------------
 
-        Registry calls are quick bookkeeping (no proof building), so
+    def _serve_ping(
+        self, ping: _messages.PingRequest, state: _ConnState
+    ) -> _messages.PongResponse:
+        self.stats.pings += 1
+        tip = self.query_server.node.tip_height
+        return _messages.PongResponse(ping.nonce, tip)
+
+    def _serve_hello(
+        self, hello: _messages.HelloRequest, state: _ConnState
+    ) -> _messages.PongResponse:
+        # A hello narrows this connection's rate-limit identity from the
+        # socket peer host to the declared client id (PROTOCOL.md §11.2).
+        # It grants nothing — answered inline like a ping, never queued,
+        # never shed.
+        state.client_id = hello.client_id
+        self.stats.hellos += 1
+        return _messages.PongResponse(0, self.query_server.node.tip_height)
+
+    def _serve_subscribe(
+        self, request: _messages.SubscribeRequest, state: _ConnState
+    ) -> _messages.SubscribeAck:
+        """Registry calls are quick bookkeeping (no proof building), so
         they run inline rather than through the worker pool — and they
-        must, because the channel is bound to this connection.
-        """
-        if self.subscriptions is None:
-            raise QueryError(
-                "this server does not accept streaming subscriptions"
+        must, because the channel is bound to this connection."""
+        registry = self._registry()
+        if state.channel is None:
+            state.channel = _PushChannel(
+                asyncio.get_running_loop(), self.push_outbox
             )
-        if payload[0] == _messages.SubscribeRequest.type_tag:
-            request = _messages.SubscribeRequest.deserialize(payload)
-            if state.channel is None:
-                state.channel = _PushChannel(
-                    asyncio.get_running_loop(), self.push_outbox
-                )
-            sub_id, tip = self.subscriptions.subscribe(
-                request.addresses, state.channel
-            )
-            self.stats.subscriptions_accepted += 1
-            return _messages.SubscribeAck(sub_id, tip).serialize()
-        request = _messages.UnsubscribeRequest.deserialize(payload)
+        sub_id, tip = registry.subscribe(request.addresses, state.channel)
+        self.stats.subscriptions_accepted += 1
+        return _messages.SubscribeAck(sub_id, tip)
+
+    def _serve_unsubscribe(
+        self, request: _messages.UnsubscribeRequest, state: _ConnState
+    ) -> _messages.SubscribeAck:
+        registry = self._registry()
         if state.channel is None:
             raise QueryError(
                 f"no subscription {request.subscription_id} "
                 f"on this connection"
             )
-        tip = self.subscriptions.unsubscribe(
-            request.subscription_id, state.channel
-        )
-        return _messages.SubscribeAck(request.subscription_id, tip).serialize()
+        tip = registry.unsubscribe(request.subscription_id, state.channel)
+        return _messages.SubscribeAck(request.subscription_id, tip)
+
+    def _registry(self):
+        if self.subscriptions is None:
+            raise QueryError(
+                "this server does not accept streaming subscriptions"
+            )
+        return self.subscriptions
 
     async def _push_loop(
         self, writer: asyncio.StreamWriter, state: _ConnState
@@ -651,27 +657,18 @@ class NetServer:
                 payload = decompress_frame(frame, self.max_frame_bytes)
             else:
                 payload = frame
-            if payload and payload[0] in _SUBSCRIPTION_TAGS:
-                response = await self._handle_subscription(payload, state)
-            elif payload and payload[0] == _messages.PingRequest.type_tag:
-                ping = _messages.PingRequest.deserialize(payload)
-                self.stats.pings += 1
-                response = _messages.PongResponse(
-                    ping.nonce, self._target.tip_height
-                ).serialize()
-            elif payload and payload[0] == _messages.HelloRequest.type_tag:
-                # A hello narrows this connection's rate-limit identity
-                # from the socket peer host to the declared client id
-                # (PROTOCOL.md §11.2).  It grants nothing — answered
-                # inline like a ping, never queued, never shed.
-                hello = _messages.HelloRequest.deserialize(payload)
-                state.client_id = hello.client_id
-                self.stats.hellos += 1
-                response = _messages.PongResponse(
-                    0, self._target.tip_height
-                ).serialize()
+            row = _messages.WIRE_TAGS.get(payload[0]) if payload else None
+            if row is not None and row.route == _messages.ROUTE_INLINE:
+                request = row.message.deserialize(payload)
+                answer = getattr(self, row.handler)(request, state)
+                response = answer.serialize()
             else:
-                response = await self._target.serve(payload, state.client)
+                # submit() raises synchronously on admission refusal
+                # (rate limited / shed / queue full) or a tag it does not
+                # serve; any of them becomes a typed error frame below.
+                response = await asyncio.wrap_future(
+                    self.query_server.submit(payload, state.client)
+                )
         except ReproError as error:
             self.stats.errors_sent += 1
             response = _messages.ErrorResponse.from_exception(error).serialize()

@@ -55,6 +55,7 @@ from repro.node.messages import (
     PongResponse,
 )
 from repro.node.net import FRAME_HEADER
+from repro.node.session import RetryPolicy
 from repro.node.transport import (
     DEFAULT_MAX_FRAME_BYTES,
     FRAME_ZLIB,
@@ -322,10 +323,7 @@ class ConnectionPool:
         request_timeout: float = 30.0,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         codec: Optional[str] = None,
-        backoff_base: float = 0.05,
-        backoff_multiplier: float = 2.0,
-        backoff_max: float = 2.0,
-        backoff_jitter: float = 0.25,
+        backoff: Optional[RetryPolicy] = None,
         health_check_idle: float = 5.0,
         seed: int = 0,
         client_id: Optional[str] = None,
@@ -341,10 +339,9 @@ class ConnectionPool:
         #: Identity declared to the server via a §11 hello frame on every
         #: fresh connection (None = identified by socket peer host only).
         self.client_id = client_id
-        self.backoff_base = backoff_base
-        self.backoff_multiplier = backoff_multiplier
-        self.backoff_max = backoff_max
-        self.backoff_jitter = backoff_jitter
+        #: Reconnect delay schedule after consecutive connect failures
+        #: (only the delays are used; the pool itself never gives up).
+        self.backoff = backoff or RetryPolicy(base_delay=0.05, max_delay=2.0)
         self.health_check_idle = health_check_idle
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
@@ -387,18 +384,9 @@ class ConnectionPool:
         except TransportError:
             with self._lock:
                 self._consecutive_failures += 1
-                # Clamp the exponent: past ~2**64 the pause is already
-                # pinned at backoff_max, and an unbounded float power
-                # would overflow after enough rapid failures.
-                exponent = min(self._consecutive_failures - 1, 64)
-                pause = min(
-                    self.backoff_base * self.backoff_multiplier ** exponent,
-                    self.backoff_max,
+                pause = self.backoff.backoff_seconds(
+                    self._consecutive_failures, self._rng
                 )
-                pause *= 1.0 + self.backoff_jitter * self._rng.uniform(
-                    -1.0, 1.0
-                )
-                pause = max(0.0, pause)
                 self._blocked_until = time.monotonic() + pause
                 self.stats["connect_failures"] += 1
                 self.stats["backoff_seconds"] += pause

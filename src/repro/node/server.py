@@ -30,8 +30,9 @@ together as
   (exported in Prometheus text form by :mod:`repro.node.metrics`).
 
 The request/response payloads are the exact wire messages of
-:mod:`repro.node.messages`; :meth:`submit` dispatches on the type tag,
-so a transport can hand every inbound frame to one entry point.
+:mod:`repro.node.messages`; :meth:`submit` routes each frame by the
+handler its row in :data:`~repro.node.messages.WIRE_TAGS` names, so a
+transport can hand every inbound frame to one entry point.
 """
 
 from __future__ import annotations
@@ -42,54 +43,23 @@ from collections import deque
 from concurrent.futures import Future
 from typing import List, Optional, Sequence, Tuple
 
+from repro.analysis.latency import latency_summary
 from repro.errors import BackpressureError, QueryError
 from repro.node import messages as _messages
 from repro.node.admission import DEFAULT_WEIGHTS, AdmissionController
 from repro.node.full_node import FullNode
 
-#: Message type tag → FullNode handler name.
-_DISPATCH = {
-    _messages._MSG_QUERY_REQUEST: "handle_query",
-    _messages._MSG_HEADERS_REQUEST: "handle_headers",
-    _messages._MSG_BATCH_REQUEST: "handle_batch_query",
-    _messages._MSG_DELTA_HEADERS_REQUEST: "handle_headers",
-    _messages._MSG_AGG_BATCH_REQUEST: "handle_batch_query",
-}
-
-#: Connection-scoped tags a queue-based server cannot serve (see submit).
-_SUBSCRIPTION_TAGS = (
-    _messages._MSG_SUBSCRIBE_REQUEST,
-    _messages._MSG_UNSUBSCRIBE_REQUEST,
-)
-
 
 class _PendingRequest:
-    __slots__ = ("payload", "future", "submitted_at")
+    __slots__ = ("payload", "handler", "future", "submitted_at")
 
-    def __init__(self, payload: bytes, future: "Future[bytes]") -> None:
+    def __init__(
+        self, payload: bytes, handler: str, future: "Future[bytes]"
+    ) -> None:
         self.payload = payload
+        self.handler = handler
         self.future = future
         self.submitted_at = time.perf_counter()
-
-
-def _percentile(sorted_values: Sequence[float], quantile: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample."""
-    if not sorted_values:
-        return 0.0
-    rank = round(quantile * (len(sorted_values) - 1))
-    return sorted_values[rank]
-
-
-def _latency_summary(samples: Sequence[float]) -> "dict[str, float]":
-    ordered = sorted(samples)
-    count = len(ordered)
-    return {
-        "count": count,
-        "mean_ms": (sum(ordered) / count * 1000.0) if count else 0.0,
-        "p50_ms": _percentile(ordered, 0.50) * 1000.0,
-        "p99_ms": _percentile(ordered, 0.99) * 1000.0,
-        "max_ms": (ordered[-1] * 1000.0) if count else 0.0,
-    }
 
 
 class QueryServer:
@@ -169,21 +139,20 @@ class QueryServer:
         """
         if not payload:
             raise QueryError("empty request payload")
-        if payload[0] not in _DISPATCH:
-            if payload[0] in _SUBSCRIPTION_TAGS:
-                # Tags 20/22 are connection-scoped: a subscription binds
-                # a watch set to one socket's push channel, which a
-                # request queue has no notion of.  NetServer handles
-                # them before the queue; reaching here means the caller
-                # used the in-process submit path.
+        row = _messages.WIRE_TAGS.get(payload[0])
+        if row is None or row.route != _messages.ROUTE_POOLED:
+            if row is not None and row.route == _messages.ROUTE_INLINE:
+                # Ping, hello and (un)subscribe are connection-scoped:
+                # NetServer answers them before the queue, and a
+                # subscription binds a watch set to one socket's push
+                # channel, which a request queue has no notion of.
                 raise QueryError(
-                    f"request tag {payload[0]} is a subscription message; "
-                    f"subscriptions require a push-capable transport "
-                    f"(serve the node over NetServer with a "
-                    f"SubscriptionRegistry)"
+                    f"request tag {payload[0]} ({row.message.__name__}) is "
+                    f"connection-scoped and needs a push-capable transport "
+                    f"(serve the node over NetServer)"
                 )
             raise QueryError(f"unknown request tag {payload[0]}")
-        request = _PendingRequest(payload, Future())
+        request = _PendingRequest(payload, row.handler, Future())
         with self._submit_lock:
             if self._closed:
                 raise QueryError("query server is closed")
@@ -271,11 +240,13 @@ class QueryServer:
 
         With ``drain=False`` every queued-but-unstarted request fails
         with :class:`QueryError`; in-flight requests still complete.
+        ``timeout`` bounds the drain and the worker joins together.
         """
         with self._submit_lock:
             if self._closed:
                 return
             self._closed = True
+        deadline = None if timeout is None else time.monotonic() + timeout
         if drain:
             self.drain(timeout)
         pending = self.admission.close()
@@ -286,7 +257,10 @@ class QueryServer:
             with self._stats_lock:
                 self._finished += 1
         for worker in self._workers:
-            worker.join(timeout)
+            if deadline is None:
+                worker.join()
+            else:
+                worker.join(max(0.0, deadline - time.monotonic()))
 
     def __enter__(self) -> "QueryServer":
         return self
@@ -311,7 +285,7 @@ class QueryServer:
             with self._stats_lock:
                 self._in_flight += 1
             try:
-                handler = getattr(self.node, _DISPATCH[item.payload[0]])
+                handler = getattr(self.node, item.handler)
                 response = handler(item.payload)
             except BaseException as exc:  # typed errors flow to the caller
                 succeeded = False
@@ -349,9 +323,9 @@ class QueryServer:
                 "in_flight": self._in_flight,
                 "queue_depth": admission["queue_depth"],
                 "peak_queue_depth": self._peak_queue_depth,
-                "latency": _latency_summary(self._total_latency),
-                "queue_wait": _latency_summary(self._wait_latency),
-                "service": _latency_summary(self._service_latency),
+                "latency": latency_summary(self._total_latency),
+                "queue_wait": latency_summary(self._wait_latency),
+                "service": latency_summary(self._service_latency),
             }
         report["admission"] = admission
         report["caches"] = {

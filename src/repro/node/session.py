@@ -100,9 +100,12 @@ class RetryPolicy:
 
     def backoff_seconds(self, round_index: int, rng: random.Random) -> float:
         """Sleep before retry round ``round_index`` (1-based)."""
+        # Clamp the exponent: past 2**64 the pause is pinned at max_delay
+        # anyway, and a caller's failure count is unbounded — an
+        # unclamped float power would overflow.
+        exponent = min(round_index - 1, 64)
         raw = min(
-            self.base_delay * self.multiplier ** (round_index - 1),
-            self.max_delay,
+            self.base_delay * self.multiplier ** exponent, self.max_delay
         )
         return max(0.0, raw * (1.0 + self.jitter * rng.uniform(-1.0, 1.0)))
 

@@ -736,9 +736,7 @@ class SubscriptionSession:
         return self.max_reconnects is None or reconnects < self.max_reconnects
 
     def _backoff(self, failures: int) -> None:
-        pause = self.retry_policy.backoff_seconds(
-            min(failures, 16), self._rng
-        )
+        pause = self.retry_policy.backoff_seconds(failures, self._rng)
         self._stop.wait(pause)
 
     # -- stream handling ---------------------------------------------------
@@ -782,73 +780,65 @@ class SubscriptionSession:
             _messages.SubscribeRequest(self.watched).serialize(), deadline
         )
         pending: List[bytes] = []
-        push_tags = (
-            _messages.PushUpdate.type_tag,
-            _messages.PushRetraction.type_tag,
-            _messages.SubscriptionEvicted.type_tag,
-        )
         while True:
             frame = conn.recv_frame(deadline)
-            tag = frame[0] if frame else 0
-            if tag == _messages.SubscribeAck.type_tag:
-                return _messages.SubscribeAck.deserialize(frame), pending
-            if tag == _messages.ErrorResponse.type_tag:
-                raise error_from_frame(
-                    _messages.ErrorResponse.deserialize(frame)
-                )
-            if tag in push_tags:
+            row = self._stream_row(frame, "while subscribing")
+            if row.route == _messages.ROUTE_PUSH:
                 # A second subscribe on a live connection can see pushes
                 # for the earlier subscription land before its ack.
                 pending.append(frame)
                 continue
-            if tag == _messages.PongResponse.type_tag:
-                continue
+            message = self._decode(row, frame)
+            if isinstance(message, _messages.SubscribeAck):
+                return message, pending
+            if isinstance(message, _messages.ErrorResponse):
+                raise error_from_frame(message)
+            # A pong answering a keepalive: liveness only.
+
+    #: What the watch stream does with each message class it may carry
+    #: (``None``: liveness only — a keepalive pong or a duplicate ack).
+    _STREAM_HANDLERS = {
+        _messages.PushUpdate: "_handle_update",
+        _messages.PushRetraction: "_handle_retraction",
+        _messages.SubscriptionEvicted: "_handle_eviction",
+        _messages.ErrorResponse: "_handle_error",
+        _messages.PongResponse: None,
+        _messages.SubscribeAck: None,
+    }
+
+    def _stream_row(self, frame: bytes, where: str) -> "_messages.WireTag":
+        row = _messages.WIRE_TAGS.get(frame[0]) if frame else None
+        if row is None or row.message not in self._STREAM_HANDLERS:
             self.stats.protocol_errors += 1
             raise TransportError(
-                f"unexpected frame tag {tag} while subscribing"
+                f"unexpected frame tag {frame[0] if frame else 0} {where}"
             )
+        return row
+
+    def _decode(self, row: "_messages.WireTag", frame: bytes):
+        try:
+            return row.message.deserialize(frame)
+        except EncodingError as error:
+            self.stats.protocol_errors += 1
+            raise TransportError(
+                f"undecodable {row.message.__name__}: {error}"
+            ) from error
 
     def _dispatch(self, frame: bytes) -> None:
-        tag = frame[0] if frame else 0
-        if tag == _messages.PushUpdate.type_tag:
-            try:
-                update = _messages.PushUpdate.deserialize(frame)
-            except EncodingError as error:
-                self.stats.protocol_errors += 1
-                raise TransportError(
-                    f"undecodable push update: {error}"
-                ) from error
-            self._handle_update(update)
-        elif tag == _messages.PushRetraction.type_tag:
-            try:
-                retraction = _messages.PushRetraction.deserialize(frame)
-            except EncodingError as error:
-                self.stats.protocol_errors += 1
-                raise TransportError(
-                    f"undecodable retraction: {error}"
-                ) from error
-            self._handle_retraction(retraction)
-        elif tag == _messages.SubscriptionEvicted.type_tag:
-            try:
-                notice = _messages.SubscriptionEvicted.deserialize(frame)
-            except EncodingError as error:
-                self.stats.protocol_errors += 1
-                raise TransportError(f"undecodable eviction: {error}") from error
-            self.stats.evictions += 1
-            self._emit(WatchEviction(notice.to_error()))
-            raise _EvictedSignal()
-        elif tag == _messages.ErrorResponse.type_tag:
-            raise error_from_frame(_messages.ErrorResponse.deserialize(frame))
-        elif tag in (
-            _messages.PongResponse.type_tag,
-            _messages.SubscribeAck.type_tag,
-        ):
-            return  # keepalive echo / duplicate ack: liveness only
-        else:
-            self.stats.protocol_errors += 1
-            raise TransportError(
-                f"unexpected frame tag {tag} on the watch stream"
-            )
+        row = self._stream_row(frame, "on the watch stream")
+        handler = self._STREAM_HANDLERS[row.message]
+        if handler is not None:
+            getattr(self, handler)(self._decode(row, frame))
+
+    def _handle_eviction(
+        self, notice: "_messages.SubscriptionEvicted"
+    ) -> None:
+        self.stats.evictions += 1
+        self._emit(WatchEviction(notice.to_error()))
+        raise _EvictedSignal()
+
+    def _handle_error(self, error: "_messages.ErrorResponse") -> None:
+        raise error_from_frame(error)
 
     # -- verification core -------------------------------------------------
 

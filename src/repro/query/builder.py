@@ -5,26 +5,16 @@ the prover and the chain can never drift apart: the BFs, SMTs, MTs and the
 BMT forest stored in :class:`BuiltSystem` are exactly the objects whose
 roots the headers commit to.
 
-Assembly is split into two phases so it can go parallel without changing
-a single output byte:
-
-1. **per-block indexing** (``_block_indexes``) — the txid Merkle tree,
-   the address Bloom filter and the SMT depend only on that block's
-   transactions, so blocks index independently;
-2. **sequential stitching** — ``prev_hash`` linkage, BMT forest merging
-   and the header extension are inherently ordered and stay in one
-   thread.
-
-``build_system(..., workers=N)`` runs phase 1 on a chunked thread or
-process pool; the stitch replays the exact sequential logic, so the
-parallel build is byte-identical to the sequential one (pinned by
-``tests/query/test_parallel_build.py`` and the serving benchmark's
-equivalence block).
+Each block is assembled in two steps: its order-independent indexes (the
+txid Merkle tree, the address Bloom filter and the SMT, from that block's
+transactions alone — ``_block_indexes``), then the ordered stitch
+(``prev_hash`` linkage, BMT forest merging and the header extension).
+``BuiltSystem.append_block`` runs the same two steps, so a chain grown
+block by block is byte-identical to one built in bulk.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, List, Optional, Sequence
 
 from repro.bloom.filter import BloomFilter
@@ -286,8 +276,7 @@ class _BlockIndexes:
     """Per-block full-node indexes produced alongside a block.
 
     Order-independent by construction: everything here derives from one
-    block's transactions alone, which is what lets ``build_system``
-    compute these on a pool.
+    block's transactions alone.
     """
 
     __slots__ = ("bf", "smt", "merkle_tree")
@@ -306,7 +295,7 @@ class _BlockIndexes:
 def _block_indexes(
     config: SystemConfig, transactions: Sequence[Transaction]
 ) -> _BlockIndexes:
-    """Phase 1: the order-independent per-block indexes.
+    """The order-independent per-block indexes.
 
     One pass over ``transaction.addresses()`` feeds both the Bloom
     filter (unique addresses) and the SMT (appearance counts).
@@ -331,15 +320,9 @@ def _assemble_block(
     prev_hash: bytes,
     transactions: List[Transaction],
     forest: Optional[BmtForest],
-    indexes: Optional[_BlockIndexes] = None,
 ):
-    """Build one block plus its indexes; registers its BF in the forest.
-
-    ``indexes`` carries phase-1 output when it was precomputed on a
-    pool; the sequential path just computes it inline.
-    """
-    if indexes is None:
-        indexes = _block_indexes(config, transactions)
+    """Build one block plus its indexes; registers its BF in the forest."""
+    indexes = _block_indexes(config, transactions)
     if forest is not None and height >= 1:
         forest.add_block(height, indexes.bf)
     extension = _extension_for(config, height, indexes.bf, indexes.smt, forest)
@@ -354,74 +337,19 @@ def _assemble_block(
     return Block(header, transactions, height, indexes.merkle_tree), indexes
 
 
-def _index_chunk(
-    config: SystemConfig, chunk: "List[List[Transaction]]"
-) -> "List[_BlockIndexes]":
-    """Pool task: phase-1 indexes for a contiguous run of bodies.
-
-    Module-level (not a closure) so a process pool can pickle it.
-    """
-    return [_block_indexes(config, transactions) for transactions in chunk]
-
-
-def _parallel_block_indexes(
-    bodies: Sequence[Sequence[Transaction]],
-    config: SystemConfig,
-    workers: int,
-    executor: str,
-    chunk_size: Optional[int],
-) -> "List[_BlockIndexes]":
-    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-
-    if executor not in ("thread", "process"):
-        raise QueryError(
-            f"unknown build executor {executor!r} (thread|process)"
-        )
-    if chunk_size is None:
-        # ~4 chunks per worker keeps the pool busy through stragglers
-        # without drowning in per-chunk dispatch overhead.
-        chunk_size = max(1, len(bodies) // (workers * 4))
-    chunks = [
-        [list(transactions) for transactions in bodies[i:i + chunk_size]]
-        for i in range(0, len(bodies), chunk_size)
-    ]
-    pool_cls = (
-        ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
-    )
-    with pool_cls(max_workers=workers) as pool:
-        indexed_chunks = list(
-            pool.map(_index_chunk, [config] * len(chunks), chunks)
-        )
-    return [indexes for chunk in indexed_chunks for indexes in chunk]
-
-
 def build_system(
     bodies: Sequence[Sequence[Transaction]],
     config: SystemConfig,
     *,
-    workers: Optional[int] = None,
-    executor: str = "thread",
-    chunk_size: Optional[int] = None,
     caches: Optional[QueryCaches] = None,
 ) -> BuiltSystem:
     """Assemble a chain from workload ``bodies`` under ``config``.
 
     ``bodies[h]`` is the transaction list of height ``h``; index 0 is the
     genesis block.  Raises :class:`QueryError` on an empty workload.
-
-    ``workers > 1`` computes the per-block indexes on a chunked pool
-    (``executor`` selects threads or processes) and then stitches the
-    ``prev_hash``/forest chain sequentially; the result is byte-identical
-    to the single-threaded build.
     """
     if not bodies:
         raise QueryError("cannot build a chain from an empty workload")
-
-    precomputed: "Optional[List[_BlockIndexes]]" = None
-    if workers is not None and workers > 1:
-        precomputed = _parallel_block_indexes(
-            bodies, config, workers, executor, chunk_size
-        )
 
     chain = Blockchain()
     filters: List[BloomFilter] = []
@@ -433,12 +361,7 @@ def build_system(
     prev_hash = b"\x00" * HASH_SIZE
     for height, transactions in enumerate(bodies):
         block, indexes = _assemble_block(
-            config,
-            height,
-            prev_hash,
-            list(transactions),
-            forest,
-            indexes=precomputed[height] if precomputed is not None else None,
+            config, height, prev_hash, list(transactions), forest
         )
         chain.append(block)
         prev_hash = block.header.block_id()
@@ -456,24 +379,4 @@ def build_system(
         forest,
         address_index,
         caches=caches,
-    )
-
-
-def build_system_parallel(
-    bodies: Sequence[Sequence[Transaction]],
-    config: SystemConfig,
-    *,
-    workers: Optional[int] = None,
-    executor: str = "thread",
-    chunk_size: Optional[int] = None,
-) -> BuiltSystem:
-    """:func:`build_system` with the pool on by default (all cores)."""
-    if workers is None:
-        workers = max(2, os.cpu_count() or 2)
-    return build_system(
-        bodies,
-        config,
-        workers=workers,
-        executor=executor,
-        chunk_size=chunk_size,
     )

@@ -9,6 +9,9 @@ in-process path raises, and nothing a server says can ever manufacture a
 reserved for proofs failing *local* checks).
 """
 
+import asyncio
+import gc
+import logging
 import socket
 import threading
 import time
@@ -43,6 +46,8 @@ from repro.node.netclient import (
     error_from_frame,
 )
 from repro.node.server import QueryServer
+from repro.node.session import RetryPolicy
+from repro.node.subscribe import SubscriptionRegistry, SubscriptionSession
 from repro.node.transport import FRAME_ZLIB, InProcessTransport
 
 
@@ -394,6 +399,66 @@ def test_abort_resets_live_connections(lvq_system, loop_thread):
     )
 
 
+async def _live_tasks():
+    current = asyncio.current_task()
+    return [task for task in asyncio.all_tasks() if task is not current]
+
+
+@pytest.mark.parametrize("stop", ["close", "abort"])
+def test_stop_leaves_no_pending_task(
+    lvq_system, probe_addresses, caplog, stop
+):
+    """close()/abort() wait out every connection and push task, so an
+    owned loop stops with nothing pending and nothing is destroyed."""
+    address = probe_addresses["Addr4"]
+    node = FullNode(lvq_system)
+    registry = SubscriptionRegistry(node)
+    server = NetServer(node, subscriptions=registry).start()  # owns its loop
+    pool = ConnectionPool(server.address, size=1)
+    session = SubscriptionSession(
+        LightNode.from_full_node(node), server.address, [address],
+        reconnect=False,
+    )
+    try:
+        pool.request(QueryRequest(address).serialize())  # stays pooled
+        session.start()
+        assert session.wait_subscribed(5.0)
+        tasks = server._loop_thread.call(_live_tasks())
+        assert len(tasks) >= 3, "two connections plus one push task"
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            getattr(server, stop)()
+            pending = [task for task in tasks if not task.done()]
+            del tasks
+            gc.collect()
+        assert not pending, f"tasks still pending after {stop}(): {pending}"
+        assert not [
+            record for record in caplog.records
+            if "Task was destroyed" in record.getMessage()
+        ]
+    finally:
+        session.stop()
+        pool.close()
+        registry.close()
+
+
+@pytest.mark.parametrize("stop", ["close", "abort"])
+def test_owned_query_server_lives_from_start_to_stop(lvq_system, stop):
+    """A bare node's QueryServer is built by start() and stopped by
+    close()/abort(): an unstarted server owns no worker threads, and a
+    stopped one leaves none running."""
+    node = FullNode(lvq_system)
+    unstarted = NetServer(node)
+    assert unstarted.query_server is None
+    getattr(unstarted, stop)()
+    server = NetServer(node).start()
+    workers = list(server.query_server._workers)
+    assert all(worker.is_alive() for worker in workers)
+    getattr(server, stop)()
+    for worker in workers:
+        worker.join(5.0)
+    assert not any(worker.is_alive() for worker in workers)
+
+
 # ---------------------------------------------------------------------------
 # the client pool
 
@@ -421,8 +486,8 @@ def test_pool_backoff_grows_and_blocks():
     pool = ConnectionPool(
         dead_address,
         connect_timeout=0.2,
-        backoff_base=30.0,  # far longer than the test: the block must show
-        backoff_max=60.0,
+        # Far longer than the test: the block must show.
+        backoff=RetryPolicy(base_delay=30.0, max_delay=60.0),
         seed=7,
     )
     try:
@@ -446,7 +511,9 @@ def test_pool_evicts_dead_connections_after_server_restart(
     server = NetServer(full_node, loop_thread=loop_thread)
     server.start()
     address = server.address
-    pool = ConnectionPool(address, backoff_base=0.01, backoff_max=0.05)
+    pool = ConnectionPool(
+        address, backoff=RetryPolicy(base_delay=0.01, max_delay=0.05)
+    )
     request = QueryRequest(probe_addresses["Addr4"]).serialize()
     try:
         first = pool.request(request)

@@ -97,8 +97,7 @@ def _query_through_injector(
                 injector.address,
                 size=1,
                 request_timeout=request_timeout,
-                backoff_base=0.01,
-                backoff_max=0.05,
+                backoff=RetryPolicy(base_delay=0.01, max_delay=0.05),
             )
             try:
                 return light.query_history(remote, address)
@@ -286,8 +285,7 @@ def _socketify(session, loop_thread):
             server.address,
             size=2,
             request_timeout=10.0,
-            backoff_base=0.005,
-            backoff_max=0.05,
+            backoff=RetryPolicy(base_delay=0.005, max_delay=0.05),
         )
         peer.node = remote
         servers.append(server)
@@ -372,8 +370,7 @@ def test_kill_server_mid_request_no_unverified_answers(
             address_tuple,
             size=1,
             request_timeout=2.0,
-            backoff_base=0.005,
-            backoff_max=0.05,
+            backoff=RetryPolicy(base_delay=0.005, max_delay=0.05),
             seed=worker_index,
         )
         session = QuerySession(

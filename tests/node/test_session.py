@@ -64,6 +64,16 @@ class TestRetryPolicy:
             pause = policy.backoff_seconds(1, rng)
             assert 0.75 <= pause <= 1.25
 
+    def test_unbounded_round_index_stays_capped(self):
+        """A reconnecting pool's failure count has no bound; the pause
+        must stay pinned at max_delay instead of overflowing."""
+        import random
+
+        policy = RetryPolicy(jitter=0.0)
+        rng = random.Random(0)
+        assert policy.backoff_seconds(10_000, rng) == policy.max_delay
+        assert policy.backoff_seconds(10**9, rng) == policy.max_delay
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_rounds=0)
