@@ -18,6 +18,9 @@ HOST:PORT`` points the query client at such a daemon instead of an
 in-process node; ``watch --connect HOST:PORT addr...`` opens a §10
 streaming subscription and prints one parseable line per verified
 update/retraction until Ctrl-C.
+
+Any :class:`~repro.errors.ReproError` (a bad ``--range``, an unreachable
+daemon) prints one ``error: …`` line to stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from typing import List, Optional
 from repro.analysis.report import format_bytes, render_table
 from repro.analysis.sizing import storage_table
 from repro.chain.segments import merge_set, segment_spans
+from repro.errors import ReproError
 from repro.node.full_node import FullNode
 from repro.node.light_node import LightNode
 from repro.node.transport import InProcessTransport
@@ -665,7 +669,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

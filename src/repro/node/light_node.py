@@ -16,47 +16,22 @@ from repro.chain.block import BlockHeader
 from repro.chain.blockchain import header_storage_bytes
 from repro.errors import (
     ChainError,
-    NoHonestPeerError,
-    ReproError,
+    QueryError,
     StaleChainError,
     VerificationError,
 )
 from repro.node.full_node import FullNode
-from repro.node.messages import QueryRequest, QueryResponse
-from repro.node.transport import InProcessTransport, TransportStats
+from repro.node.messages import (
+    DeltaHeadersRequest,
+    DeltaHeadersResponse,
+    HeadersRequest,
+    HeadersResponse,
+    QueryRequest,
+    QueryResponse,
+)
+from repro.node.transport import InProcessTransport
 from repro.query.config import SystemConfig
 from repro.query.verifier import VerifiedHistory, verify_result
-
-
-class MultiPeerReport:
-    """Outcome accounting for one :meth:`LightNode.query_history_any` call.
-
-    ``winner`` is the label of the peer whose answer verified (``None``
-    when all failed), ``stats`` maps every queried peer's label to the
-    :class:`TransportStats` its attempt accumulated, and ``reasons``
-    records why each losing peer was rejected.
-    """
-
-    __slots__ = ("winner", "stats", "reasons")
-
-    def __init__(self) -> None:
-        self.winner: "Optional[str]" = None
-        self.stats: "dict[str, TransportStats]" = {}
-        self.reasons: "dict[str, Exception]" = {}
-
-    def total_stats(self) -> TransportStats:
-        """Bytes across *all* peers — what the client's link really paid."""
-        total = TransportStats()
-        for stats in self.stats.values():
-            total.merge(stats)
-        return total
-
-    def __repr__(self) -> str:
-        return (
-            f"MultiPeerReport(winner={self.winner!r}, "
-            f"tried={sorted(self.stats)}, "
-            f"total={self.total_stats().total_bytes}B)"
-        )
 
 
 class LightNode:
@@ -67,8 +42,6 @@ class LightNode:
     ) -> None:
         self.headers: List[BlockHeader] = list(headers)
         self.config = config
-        #: Set by :meth:`query_history_any`: winner + per-peer stats.
-        self.last_query_report: "Optional[MultiPeerReport]" = None
 
     @classmethod
     def from_full_node(cls, full_node: FullNode) -> "LightNode":
@@ -120,44 +93,44 @@ class LightNode:
         the local chain — a full node cannot splice in a divergent
         history during sync.
         """
-        from repro.node.messages import (
-            DeltaHeadersRequest,
-            DeltaHeadersResponse,
-            HeadersRequest,
-            HeadersResponse,
-        )
-
-        request_cls = DeltaHeadersRequest if delta else HeadersRequest
-        response_cls = DeltaHeadersResponse if delta else HeadersResponse
-        if transport is None:
-            transport = InProcessTransport()
         from_height = self.tip_height + 1
-        request_bytes = transport.send_to_server(
-            request_cls(from_height).serialize()
-        )
-        response_bytes = transport.send_to_client(
-            full_node.handle_headers(request_bytes)
-        )
-        response = response_cls.deserialize(
-            response_bytes,
-            self.config.header_extension_kind,
-            self.config.header_bloom_bytes,
+        response = self._fetch_headers(
+            full_node, transport, from_height, delta
         )
         if response.from_height != from_height:
             raise VerificationError(
                 f"asked for headers from {from_height}, got "
                 f"{response.from_height}"
             )
-        previous_id = self.headers[-1].block_id()
-        for offset, header in enumerate(response.headers):
-            if header.prev_hash != previous_id:
-                raise VerificationError(
-                    f"header at height {from_height + offset} does not "
-                    "link onto the local chain"
-                )
-            previous_id = header.block_id()
+        _check_linkage(
+            response.headers, self.headers[-1].block_id(), from_height
+        )
         self.headers.extend(response.headers)
         return len(response.headers)
+
+    def _fetch_headers(
+        self,
+        full_node: FullNode,
+        transport: "Optional[InProcessTransport]",
+        from_height: int,
+        delta: bool = False,
+    ):
+        """One headers round trip through ``transport``; the decoded reply."""
+        request_cls = DeltaHeadersRequest if delta else HeadersRequest
+        response_cls = DeltaHeadersResponse if delta else HeadersResponse
+        if transport is None:
+            transport = InProcessTransport()
+        request_bytes = transport.send_to_server(
+            request_cls(from_height).serialize()
+        )
+        response_bytes = transport.send_to_client(
+            full_node.handle_headers(request_bytes)
+        )
+        return response_cls.deserialize(
+            response_bytes,
+            self.config.header_extension_kind,
+            self.config.header_bloom_bytes,
+        )
 
     # -- querying ----------------------------------------------------------
 
@@ -218,9 +191,6 @@ class LightNode:
         :class:`StaleChainError` (a benign subclass — lagging, not
         lying; no replacement without more work).
         """
-        from repro.errors import QueryError
-        from repro.node.messages import HeadersRequest, HeadersResponse
-
         try:
             return 0, self.sync_headers(full_node, transport)
         except (VerificationError, QueryError):
@@ -228,20 +198,7 @@ class LightNode:
             # (it may be on a shorter fork): fall through to comparison.
             pass
 
-        if transport is None:
-            transport = InProcessTransport()
-        request_bytes = transport.send_to_server(
-            HeadersRequest(0).serialize()
-        )
-        response_bytes = transport.send_to_client(
-            full_node.handle_headers(request_bytes)
-        )
-        response = HeadersResponse.deserialize(
-            response_bytes,
-            self.config.header_extension_kind,
-            self.config.header_bloom_bytes,
-        )
-        remote = response.headers
+        remote = self._fetch_headers(full_node, transport, 0).headers
         if len(remote) <= len(self.headers):
             raise StaleChainError(
                 "peer's divergent chain is not longer than ours; refusing "
@@ -249,13 +206,7 @@ class LightNode:
             )
         if not remote or remote[0].block_id() != self.headers[0].block_id():
             raise VerificationError("peer chain has a different genesis")
-        previous_id = remote[0].block_id()
-        for height, header in enumerate(remote[1:], start=1):
-            if header.prev_hash != previous_id:
-                raise VerificationError(
-                    f"peer chain breaks linkage at height {height}"
-                )
-            previous_id = header.block_id()
+        _check_linkage(remote[1:], remote[0].block_id(), 1)
 
         fork_height = 0
         limit = min(len(remote), len(self.headers))
@@ -269,71 +220,6 @@ class LightNode:
         appended = len(remote) - (fork_height + 1)
         self.headers = list(remote)
         return replaced, appended
-
-    def query_history_any(
-        self,
-        full_nodes: "Sequence[FullNode]",
-        address: str,
-        first_height: int = 1,
-        last_height: Optional[int] = None,
-        transports: "Optional[Sequence[InProcessTransport]]" = None,
-        labels: "Optional[Sequence[str]]" = None,
-    ) -> VerifiedHistory:
-        """Query several peers; accept the first verifiable answer.
-
-        The security model makes this sound with a single honest peer
-        among arbitrarily many malicious ones: an answer either verifies
-        (and is then the unique complete history — two verifiable answers
-        cannot disagree) or is rejected.  Raises
-        :class:`NoHonestPeerError` carrying every peer's rejection reason
-        when *all* answers fail.
-
-        ``transports`` optionally supplies one transport per peer (e.g.
-        fault-injecting wrappers), and ``labels`` names the peers in
-        reports and error reasons (default ``peer0..N``).  After every
-        call — success or failure — :attr:`last_query_report` holds a
-        :class:`MultiPeerReport` with the winning peer's label and the
-        per-peer byte accounting, so multi-peer experiments no longer
-        lose the losers' traffic.
-        """
-        if not full_nodes:
-            raise VerificationError("no peers to query")
-        if transports is not None and len(transports) != len(full_nodes):
-            raise VerificationError(
-                f"{len(transports)} transports for {len(full_nodes)} peers"
-            )
-        if labels is not None:
-            if len(labels) != len(full_nodes):
-                raise VerificationError(
-                    f"{len(labels)} labels for {len(full_nodes)} peers"
-                )
-            if len(set(labels)) != len(labels):
-                raise VerificationError("peer labels must be distinct")
-        report = MultiPeerReport()
-        self.last_query_report = report
-        for index, full_node in enumerate(full_nodes):
-            label = labels[index] if labels is not None else f"peer{index}"
-            transport = (
-                transports[index]
-                if transports is not None
-                else InProcessTransport()
-            )
-            try:
-                history = self.query_history(
-                    full_node,
-                    address,
-                    transport=transport,
-                    first_height=first_height,
-                    last_height=last_height,
-                )
-            except ReproError as error:
-                report.reasons[label] = error
-                report.stats[label] = transport.stats
-            else:
-                report.winner = label
-                report.stats[label] = transport.stats
-                return history
-        raise NoHonestPeerError(report.reasons)
 
     def query_batch(
         self,
@@ -403,4 +289,17 @@ class LightNode:
         )
 
 
-__all__ = ["LightNode", "MultiPeerReport", "VerificationError"]
+def _check_linkage(
+    headers: Sequence[BlockHeader], previous_id: bytes, first_height: int
+) -> None:
+    """Raise unless every header's prev-hash is the id of the one before."""
+    for offset, header in enumerate(headers):
+        if header.prev_hash != previous_id:
+            raise VerificationError(
+                f"header at height {first_height + offset} does not link "
+                "onto the chain below it"
+            )
+        previous_id = header.block_id()
+
+
+__all__ = ["LightNode", "VerificationError"]

@@ -15,6 +15,7 @@ admission classifier and the subscription client all dispatch from it.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, NamedTuple, Optional
 
 from repro.chain.block import BlockHeader, deserialize_extension
@@ -305,6 +306,8 @@ class DeltaHeadersResponse:
                     raise EncodingError("delta header timestamp underflow")
                 bits = reader.varint()
                 nonce = reader.varint()
+                if max(version, timestamp, bits, nonce) > 0xFFFFFFFF:
+                    raise EncodingError("delta header field exceeds 32 bits")
                 merkle_root = reader.bytes(HASH_SIZE)
                 extension = deserialize_extension(
                     reader, extension_kind, bloom_bytes
@@ -396,10 +399,11 @@ class ErrorResponse:
 
         def _retry_ms(err: BackpressureError) -> int:
             # Wire params are non-negative varints; the retry-after hint
-            # rides as integer milliseconds (0 = no hint).
+            # rides as integer milliseconds (0 = no hint), rounded up so
+            # a client that waits out the hint is never early.
             if err.retry_after is None or err.retry_after <= 0:
                 return 0
-            return max(1, int(err.retry_after * 1000.0))
+            return max(1, math.ceil(err.retry_after * 1000.0))
 
         def _index(options: "tuple[str, ...]", name: str) -> int:
             try:

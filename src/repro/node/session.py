@@ -1,14 +1,17 @@
-"""A resilient multi-peer query session for the light node.
+"""The light node's multi-peer client.
 
-``LightNode.query_history_any`` is one-shot: it walks the peer list once
-and gives up.  Production light clients (vChain's, Dietcoin's, and the
-ROADMAP's millions-of-users north star) face peers that flap, links that
-drop, and adversaries mixed in with the honest majority — and must keep
-the paper's §V guarantee intact: a fault can *deny* an answer (typed
-error) but never *deceive* (wrong history).
+The paper's model needs only one honest full node: an answer either
+passes the §V verification (and is then the unique complete history) or
+is rejected.  :class:`QuerySession` is the one place that walks a peer
+list, so with a single honest peer among any number of liars a query
+still returns the true history.  Real peers also flap, links drop, and
+liars mix in with honest nodes; the session keeps the §V guarantee
+intact through all of it: a fault can *deny* an answer (typed error)
+but never *deceive* (wrong history).
 
-:class:`QuerySession` adds the operating envelope on top of the existing
-verification machinery, entirely client-local (no wire change):
+It adds the operating envelope on top of the single-peer
+:class:`~repro.node.light_node.LightNode` calls, entirely client-local
+(no wire change):
 
 * per-request timeouts on a :class:`~repro.node.transport.SimulatedClock`;
 * bounded retries with exponential backoff + seeded jitter;
@@ -490,6 +493,13 @@ class QuerySession:
                 elapsed_seconds=elapsed,
             )
 
+    def _back_off(self, round_index: int) -> None:
+        """Sleep the jittered pause before retry round ``round_index``."""
+        pause = self.retry.backoff_seconds(round_index, self._rng)
+        self.stats.backoff_seconds += pause
+        self.stats.retries += 1
+        self.clock.sleep(pause)
+
     def _ranked_available(self) -> List[Peer]:
         now = self.clock.now()
         usable = [peer for peer in self.peers if peer.available(now)]
@@ -508,6 +518,10 @@ class QuerySession:
         self.stats.attempts += 1
         try:
             outcome = run(peer, transport)
+        except StaleChainError:
+            # Lagging, not lying: count the attempt, no score change.
+            peer.stats.attempts += 1
+            raise
         except VerificationError as error:
             peer.record_verification_failure(error)
             raise
@@ -554,10 +568,7 @@ class QuerySession:
         attempts_before = self.stats.attempts
         for round_index in range(self.retry.max_rounds):
             if round_index > 0:
-                pause = self.retry.backoff_seconds(round_index, self._rng)
-                self.stats.backoff_seconds += pause
-                self.stats.retries += 1
-                self.clock.sleep(pause)
+                self._back_off(round_index)
             self._check_session_deadline(started_at)
             served, outcome = self._sweep_peers(run, reasons, started_at)
             if served:
@@ -720,10 +731,7 @@ class QuerySession:
             if self.light_node.tip_height >= target_height:
                 return accepted_total
             if round_index > 0:
-                pause = self.retry.backoff_seconds(round_index, self._rng)
-                self.stats.backoff_seconds += pause
-                self.stats.retries += 1
-                self.clock.sleep(pause)
+                self._back_off(round_index)
             for peer in self._ranked_available():
                 if self.light_node.tip_height >= target_height:
                     return accepted_total
@@ -763,54 +771,25 @@ class QuerySession:
         answer was verified against headers that no longer exist.  The
         fresh histories land in ``self.last_reorg["requeried"]``.
         """
+        old_tip = self.light_node.tip_height
+
+        def run(peer: Peer, transport) -> Tuple[int, int]:
+            return self.light_node.sync_with_reorg(peer.node, transport)
+
         started_at = self.clock.now()
         reasons: Dict[str, List[Exception]] = {}
         attempts_before = self.stats.attempts
         for round_index in range(self.retry.max_rounds):
             if round_index > 0:
-                pause = self.retry.backoff_seconds(round_index, self._rng)
-                self.stats.backoff_seconds += pause
-                self.stats.retries += 1
-                self.clock.sleep(pause)
-            for peer in self._ranked_available():
-                self._check_session_deadline(started_at)
-                transport = peer.make_transport()
-                if self.request_timeout is not None and hasattr(
-                    transport, "arm_timeout"
-                ):
-                    transport.arm_timeout(self.request_timeout)
-                self.stats.attempts += 1
-                old_tip = self.light_node.tip_height
-                try:
-                    replaced, appended = self.light_node.sync_with_reorg(
-                        peer.node, transport
+                self._back_off(round_index)
+            served, outcome = self._sweep_peers(run, reasons, started_at)
+            if served:
+                replaced, appended = outcome
+                if replaced:
+                    self._after_reorg(
+                        old_tip - replaced, replaced, appended, old_tip
                     )
-                except StaleChainError as error:
-                    # Lagging, not lying: no score penalty, try the next.
-                    peer.stats.attempts += 1
-                    reasons.setdefault(peer.label, []).append(error)
-                except VerificationError as error:
-                    peer.record_verification_failure(error)
-                    reasons.setdefault(peer.label, []).append(error)
-                except BackpressureError as error:
-                    # Busy, not malicious: flat hold-off, never a ladder.
-                    peer.record_overload(error, self.clock.now())
-                    reasons.setdefault(peer.label, []).append(error)
-                except (TransportError, EncodingError, QueryError) as error:
-                    peer.record_transport_failure(
-                        error, self.clock.now(), self.quarantine_base
-                    )
-                    reasons.setdefault(peer.label, []).append(error)
-                else:
-                    peer.record_success()
-                    self._last_served = peer.label
-                    if replaced:
-                        self._after_reorg(
-                            old_tip - replaced, replaced, appended, old_tip
-                        )
-                    return replaced, appended
-                finally:
-                    peer.stats.transport.merge(transport.stats)
+                return replaced, appended
         raise RetryExhaustedError(
             "reorg-aware header sync",
             self.stats.attempts - attempts_before,

@@ -1,12 +1,10 @@
-"""Crash-safe incremental chain store.
+"""Crash-safe incremental chain store — the one on-disk chain format.
 
-:func:`~repro.storage.chain_store.save_system` rewrites the whole store
-on every save — O(chain) per block and a wide window in which a crash
-leaves nothing usable.  :class:`DurableStore` replaces that with an
-append-only record log (``chain.log``, framed per
-:mod:`repro.storage.record_log`) and a small manifest checkpoint, so
-``append_block`` and reorgs persist O(delta) and every commit is
-crash-atomic.
+:class:`DurableStore` keeps an append-only record log (``chain.log``,
+framed per :mod:`repro.storage.record_log`) and a small manifest
+checkpoint, so ``append_block`` and reorgs persist O(delta) and every
+commit is crash-atomic.  :meth:`DurableStore.create` persists a built
+chain and :meth:`DurableStore.open` reloads it.
 
 Commit protocol (one mutation)::
 
@@ -45,7 +43,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from repro.chain.block import Block
 from repro.chain.transaction import Transaction
 from repro.crypto.hashing import sha256d
-from repro.errors import ChainError
+from repro.errors import ChainError, QueryError
 from repro.query.builder import BuiltSystem, build_system
 from repro.query.config import SystemConfig
 from repro.storage.record_log import (
@@ -429,10 +427,11 @@ def verify_store(directory: PathLike, deep: bool = False) -> StoreReport:
 
 def _read_manifest(path: pathlib.Path) -> dict:
     try:
-        manifest = json.loads((path / _MANIFEST).read_text())
+        manifest = json.loads((path / _MANIFEST).read_text("ascii"))
     except FileNotFoundError as exc:
         raise ChainError(f"no chain manifest in {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or UnicodeDecodeError: the writer emits ASCII.
         raise ChainError(f"corrupt chain manifest in {path}: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != DURABLE_FORMAT:
         raise ChainError(
@@ -444,14 +443,14 @@ def _read_manifest(path: pathlib.Path) -> dict:
 def _manifest_config(manifest: dict) -> SystemConfig:
     try:
         return SystemConfig.from_dict(manifest["config"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, QueryError) as exc:
         raise ChainError(f"malformed chain manifest: {exc}") from exc
 
 
 def _manifest_int(manifest: dict, key: str) -> int:
     try:
         return int(manifest[key])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ChainError(
             f"malformed chain manifest field {key!r}: {exc}"
         ) from exc

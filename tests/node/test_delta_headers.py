@@ -66,6 +66,33 @@ def test_empty_and_single_header_frames(lvq_system):
         ]
 
 
+def test_oversized_field_fails_typed(lvq_system):
+    """Regression: a varint wider than the header's 32-bit slot is an
+    EncodingError, not a struct.error when the header is hashed."""
+    from repro.crypto.encoding import write_var_bytes, write_varint
+
+    config = lvq_system.config
+    first, second = lvq_system.headers()[1:3]
+    frame = b"".join(
+        [
+            bytes([DeltaHeadersResponse.type_tag]),
+            write_varint(1),
+            write_varint(2),
+            write_var_bytes(first.serialize()),
+            write_varint(2**32),  # version
+            write_varint(0),  # zigzag timestamp delta
+            write_varint(second.bits),
+            write_varint(second.nonce),
+            second.merkle_root,
+            second.extension.serialize(),
+        ]
+    )
+    with pytest.raises(EncodingError, match="32 bits"):
+        DeltaHeadersResponse.deserialize(
+            frame, config.header_extension_kind, config.header_bloom_bytes
+        )
+
+
 def test_delta_sync_equals_full_sync(any_system):
     full_node = FullNode(any_system)
     via_full = _fresh_client(any_system)

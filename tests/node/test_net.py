@@ -635,8 +635,10 @@ def test_pool_honors_retry_after_before_next_request(
 ):
     """After a rate-limit frame the pool defers its next request for
     the hinted interval instead of hammering — and then succeeds."""
+    # A 500 ms refill window: the second request must land inside it
+    # even on a loaded machine, or it is rightly admitted.
     query_server = QueryServer(
-        FullNode(lvq_system), num_workers=2, rate_limit=10.0, rate_burst=1.0
+        FullNode(lvq_system), num_workers=2, rate_limit=2.0, rate_burst=1.0
     )
     try:
         with NetServer(query_server, loop_thread=loop_thread) as server:
@@ -667,9 +669,11 @@ def test_queue_pressure_sheds_batch_class_with_typed_frame(
     interactive work already queued keeps its place."""
     full_node = FullNode(lvq_system)
     gate = threading.Event()
+    entered = threading.Event()
     original = full_node.handle_query
 
     def gated_handle(payload):
+        entered.set()
         gate.wait(10.0)
         return original(payload)
 
@@ -684,12 +688,16 @@ def test_queue_pressure_sheds_batch_class_with_typed_frame(
     try:
         with NetServer(query_server, loop_thread=loop_thread) as server:
             # Four interactive queries: one occupies the worker, three
-            # queue up and push the shedder past the low watermark.
+            # queue up and push the shedder past the low watermark.  The
+            # three are sent only once the worker holds the first, so
+            # the depth stops at 3 and never reaches the high watermark.
             request = QueryRequest("a").serialize()
-            for _ in range(4):
+            for index in range(4):
                 sock = socket.create_connection(server.address, timeout=5.0)
                 sock.sendall(FRAME_HEADER.pack(len(request)) + request)
                 feeders.append(sock)
+                if index == 0:
+                    assert entered.wait(5.0), "worker never took a query"
             deadline = time.monotonic() + 5.0
             while query_server.admission.state() == "normal":
                 assert time.monotonic() < deadline, (

@@ -1,12 +1,13 @@
 """Property test: on-disk corruption is always detected at load time.
 
-Random byte flips in any of the three chain-store files must make
-``load_system`` raise — never silently load a different chain.  (A flip
-could in principle leave the files byte-identical in meaning only by a
-hash collision.)
+A random bit flip in either file of a durable chain store must make
+``DurableStore.open`` raise a typed :class:`ReproError` or load a chain
+with the identical tip id — never silently load a different chain, and
+never escape as an untyped exception.  ``verify_store`` must always
+return a report, never raise.  (A flip could in principle leave the
+store meaning the same chain only by a hash collision, or by hitting
+bytes that carry no meaning, such as JSON whitespace.)
 """
-
-import pathlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,9 +16,11 @@ from hypothesis import strategies as st
 from repro.errors import ReproError
 from repro.query.builder import build_system
 from repro.query.config import SystemConfig
-from repro.storage.chain_store import load_system, save_system
+from repro.storage.durable import DurableStore, StoreReport, verify_store
 from repro.workload.generator import WorkloadParams, generate_workload
 from repro.workload.profiles import ProbeProfile
+
+FILES = ("chain.log", "manifest.json")
 
 
 @pytest.fixture(scope="module")
@@ -34,16 +37,13 @@ def stored_chain(tmp_path_factory):
         workload.bodies, SystemConfig.lvq(bf_bytes=96, segment_len=8)
     )
     directory = tmp_path_factory.mktemp("chain-store") / "chain"
-    save_system(system, directory)
-    originals = {
-        name: (directory / name).read_bytes()
-        for name in ("bodies.dat", "headers.dat", "manifest.json")
-    }
+    DurableStore.create(directory, system)
+    originals = {name: (directory / name).read_bytes() for name in FILES}
     return system, directory, originals
 
 
 @given(
-    target=st.sampled_from(["bodies.dat", "headers.dat", "manifest.json"]),
+    target=st.sampled_from(FILES),
     position=st.integers(min_value=0, max_value=10_000_000),
     bit=st.integers(min_value=0, max_value=7),
 )
@@ -61,17 +61,17 @@ def test_any_flip_detected_or_harmless(stored_chain, target, position, bit):
             (directory / name).write_bytes(
                 bytes(raw) if name == target else payload
             )
+        # The offline fsck never raises, whatever the damage.
+        assert isinstance(verify_store(directory, deep=True), StoreReport)
         try:
-            loaded = load_system(directory)
+            loaded = DurableStore.open(directory).system
         except ReproError:
             return  # detected — the required outcome for meaningful flips
-        except ValueError:
-            return  # manifest JSON-level damage surfaces as a parse error
-        # Accepted: the chain must be byte-identical to the original
-        # (e.g. the flip hit JSON whitespace in the manifest).
+        # Accepted: the chain must be the original one.
         assert loaded.headers()[-1].block_id() == (
             system.headers()[-1].block_id()
         )
     finally:
+        # open() may have truncated the log or rewritten the manifest.
         for name, payload in originals.items():
             (directory / name).write_bytes(payload)

@@ -8,7 +8,6 @@ from repro.errors import ChainError
 from repro.query.builder import build_system
 from repro.query.config import SystemConfig
 from repro.query.prover import answer_query
-from repro.storage import load_system
 from repro.storage.durable import DurableStore, verify_store
 from repro.storage.vfs import CrashPoint, CrashVfs
 from repro.workload.generator import WorkloadParams, generate_workload
@@ -97,12 +96,6 @@ class TestRoundTrip:
             assert answer_query(reopened.system, address).serialize(
                 CONFIG
             ) == answer_query(equivalent, address).serialize(CONFIG)
-
-    def test_load_system_dispatches_format_2(self, chains, tmp_path):
-        main, _ = chains
-        store = _store_at(tmp_path, main.bodies)
-        loaded = load_system(tmp_path / "store")
-        assert _headers(loaded) == _headers(store.system)
 
     def test_create_refuses_overwrite(self, chains, tmp_path):
         main, _ = chains
@@ -260,6 +253,43 @@ class TestVerifyStore:
         report = verify_store(tmp_path / "store")
         assert not report.ok
         assert "missing chain log" in report.detail
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "missing",
+            "not_json",
+            "non_utf8",
+            "unknown_kind",
+            "lost_segment_len",
+        ],
+    )
+    def test_damaged_manifest_is_typed(self, chains, tmp_path, damage):
+        """Every kind of manifest damage is a ChainError from ``open`` and
+        a failed report from ``verify_store``, never a raw exception."""
+        main, _ = chains
+        _store_at(tmp_path, main.bodies[:4])
+        path = tmp_path / "store" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if damage == "missing":
+            path.unlink()
+        elif damage == "not_json":
+            path.write_text("{not json")
+        elif damage == "non_utf8":
+            raw = bytearray(path.read_bytes())
+            raw[len(raw) // 2] |= 0x80
+            path.write_bytes(bytes(raw))
+        else:
+            if damage == "unknown_kind":
+                manifest["config"]["kind"] = "mvq"
+            else:
+                del manifest["config"]["segment_len"]
+            path.write_text(json.dumps(manifest))
+        with pytest.raises(ChainError, match="manifest"):
+            DurableStore.open(tmp_path / "store")
+        report = verify_store(tmp_path / "store", deep=True)
+        assert not report.ok
+        assert "manifest" in report.detail
 
     def test_wrong_format_manifest(self, tmp_path):
         (tmp_path / "store").mkdir()

@@ -55,6 +55,16 @@ class TestQueryCommand:
         assert code == 0
         assert "proof bytes" in out
 
+    def test_bad_range_is_one_error_line(self, capsys):
+        code = main(
+            ["query", *CHAIN_ARGS, "--address", "Addr5", "--range", "30", "10"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == [
+            "error: bad query range [30,10] for tip 24"
+        ]
+
 
 class TestCompareCommand:
     def test_table_shape(self, capsys):
