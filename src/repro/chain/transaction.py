@@ -207,9 +207,17 @@ class Transaction:
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "Transaction":
+        """Decode ``payload`` and take its txid from the received bytes.
+
+        The encoding is canonical (varints reject non-minimal forms,
+        addresses are strict UTF-8), so any accepted payload is exactly
+        what :meth:`serialize` would produce and hashing it directly
+        saves the verifier a re-serialization per transaction.
+        """
         reader = ByteReader(payload)
         transaction = cls.deserialize(reader)
         reader.finish()
+        transaction._txid = sha256d(payload)
         return transaction
 
     def size_bytes(self) -> int:

@@ -65,3 +65,13 @@ def tagged_hash(tag: str, *chunks: bytes) -> bytes:
     for chunk in chunks:
         ctx.update(chunk)
     return ctx.digest()
+
+
+def tagged_hasher(tag: str) -> "hashlib._Hash":
+    """A SHA-256 context already fed ``tag``'s prefix.
+
+    ``hasher.copy()`` followed by ``update``/``digest`` yields exactly
+    :func:`tagged_hash` while skipping the prefix block; hot loops that
+    hash many nodes of one kind keep one primed context per tag.
+    """
+    return hashlib.sha256(_tag_prefix(tag))

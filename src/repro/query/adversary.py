@@ -115,6 +115,16 @@ def _all_resolutions(result: QueryResult):
                 yield answer.resolution
 
 
+def clear_lowest_set_bit(raw_bf: bytes) -> Optional[bytes]:
+    """``raw_bf`` with its lowest-numbered set filter bit cleared (bit
+    ``i`` is bit ``i % 8`` of byte ``i // 8``); ``None`` if no bit is set."""
+    for offset, byte in enumerate(raw_bf):
+        if byte:
+            cleared = bytes((byte & (byte - 1),))
+            return raw_bf[:offset] + cleared + raw_bf[offset + 1 :]
+    return None
+
+
 # ---------------------------------------------------------------------------
 # attacks on completeness
 
@@ -222,11 +232,10 @@ def tamper_bmt_filter(result: QueryResult) -> QueryResult:
             if node.tag == 0:  # internal
                 stack.extend((node.left, node.right))
                 continue
-            bf = node.bf
-            for index in range(bf.size_bits):
-                if bf.bits.get(index):
-                    bf.bits.clear(index)
-                    return result
+            tampered = clear_lowest_set_bit(node.raw_bf)
+            if tampered is not None:
+                node.raw_bf = tampered
+                return result
     return result
 
 

@@ -42,16 +42,7 @@ from repro.chain.transaction import Transaction
 from repro.crypto.encoding import ByteReader, write_var_bytes, write_varint
 from repro.crypto.hashing import HASH_SIZE
 from repro.errors import EncodingError, ProofError
-from repro.merkle.bmt import (
-    _TAG_CLEAN_INTERNAL,
-    _TAG_CLEAN_LEAF,
-    _TAG_FAILED_LEAF,
-    _TAG_INTERNAL,
-    _TAG_STUB_INTERNAL,
-    _TAG_STUB_LEAF,
-    BmtMultiProof,
-    _ProofNode,
-)
+from repro.merkle.bmt import BmtMultiProof
 from repro.merkle.sorted_tree import SmtBranch, SmtInexistenceProof, SmtLeaf
 from repro.merkle.tree import MerkleBranch
 from repro.query.batch import BatchQueryResult
@@ -224,29 +215,11 @@ def _walk_resolution(resolution, sink) -> None:
         raise ProofError(f"unknown resolution type {type(resolution).__name__}")
 
 
-def _walk_proof_node(node: _ProofNode, sink) -> None:
-    sink.raw(bytes([node.tag]))
-    if node.tag == _TAG_INTERNAL:
-        assert node.left is not None and node.right is not None
-        _walk_proof_node(node.left, sink)
-        _walk_proof_node(node.right, sink)
-        return
-    assert node.bf is not None
-    if node.tag == _TAG_CLEAN_INTERNAL:
-        assert node.child_hashes is not None
-        sink.fixed_blob(node.child_hashes[0])
-        sink.fixed_blob(node.child_hashes[1])
-    elif node.tag == _TAG_STUB_INTERNAL:
-        assert node.stub_hash is not None
-        sink.fixed_blob(node.stub_hash)
-    sink.fixed_blob(node.bf.to_bytes())
-
-
 def _walk_segment(segment: SegmentProof, sink) -> None:
     sink.varint(segment.anchor)
     sink.varint(segment.start)
     sink.varint(segment.end)
-    _walk_proof_node(segment.multiproof._root, sink)
+    segment.multiproof.write(sink.raw, sink.fixed_blob)
     sink.varint(len(segment.resolutions))
     for height in sorted(segment.resolutions):
         sink.varint(height)
@@ -346,35 +319,11 @@ def _read_resolution_body(tag: int, src: _Source):
     raise EncodingError(f"unknown resolution tag {tag}")
 
 
-def _read_proof_node(
-    src: _Source, bf_bytes: int, num_hashes: int, depth: int
-) -> _ProofNode:
-    if depth > 64:
-        raise EncodingError("BMT multiproof nests implausibly deep")
-    tag = src.raw(1)[0]
-    if tag == _TAG_INTERNAL:
-        left = _read_proof_node(src, bf_bytes, num_hashes, depth + 1)
-        right = _read_proof_node(src, bf_bytes, num_hashes, depth + 1)
-        return _ProofNode(_TAG_INTERNAL, left=left, right=right)
-    child_hashes = None
-    stub_hash = None
-    if tag == _TAG_CLEAN_INTERNAL:
-        child_hashes = (src.fixed_blob(HASH_SIZE), src.fixed_blob(HASH_SIZE))
-    elif tag == _TAG_STUB_INTERNAL:
-        stub_hash = src.fixed_blob(HASH_SIZE)
-    elif tag not in (_TAG_CLEAN_LEAF, _TAG_FAILED_LEAF, _TAG_STUB_LEAF):
-        raise EncodingError(f"unknown BMT multiproof tag {tag}")
-    bf = BloomFilter.from_bytes(src.fixed_blob(bf_bytes), num_hashes)
-    return _ProofNode(tag, bf=bf, child_hashes=child_hashes, stub_hash=stub_hash)
-
-
 def _read_segment(src: _Source, config: SystemConfig) -> SegmentProof:
     anchor = src.varint()
     start = src.varint()
     end = src.varint()
-    multiproof = BmtMultiProof(
-        _read_proof_node(src, config.bf_bytes, config.num_hashes, 0)
-    )
+    multiproof = BmtMultiProof.read(src.raw, src.fixed_blob, config.bf_bits)
     count = src.varint()
     if count > end - start + 1:
         raise EncodingError(

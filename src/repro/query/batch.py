@@ -130,6 +130,15 @@ class BatchQueryResult:
     def deserialize(
         cls, payload: bytes, config: SystemConfig
     ) -> "BatchQueryResult":
+        """Decode a plain batch; any malformation — a fragment whose
+        fields contradict each other included — is an :class:`EncodingError`."""
+        try:
+            return cls._decode(payload, config)
+        except ProofError as exc:
+            raise EncodingError(str(exc)) from exc
+
+    @classmethod
+    def _decode(cls, payload: bytes, config: SystemConfig) -> "BatchQueryResult":
         reader = ByteReader(payload)
         count = reader.varint()
         if count == 0 or count > 10_000:

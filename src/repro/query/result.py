@@ -199,6 +199,15 @@ class QueryResult:
 
     @classmethod
     def deserialize(cls, payload: bytes, config: SystemConfig) -> "QueryResult":
+        """Decode a plain answer; any malformation — a fragment whose
+        fields contradict each other included — is an :class:`EncodingError`."""
+        try:
+            return cls._decode(payload, config)
+        except ProofError as exc:
+            raise EncodingError(str(exc)) from exc
+
+    @classmethod
+    def _decode(cls, payload: bytes, config: SystemConfig) -> "QueryResult":
         reader = ByteReader(payload)
         try:
             address = reader.var_bytes().decode("utf-8")
@@ -221,18 +230,15 @@ class QueryResult:
                 PerBlockAnswer.deserialize(reader, config) for _ in range(count)
             ]
         reader.finish()
-        try:
-            return cls(
-                config.kind,
-                address,
-                tip_height,
-                segments,
-                blocks,
-                first_height,
-                last_height,
-            )
-        except ProofError as exc:
-            raise EncodingError(str(exc)) from exc
+        return cls(
+            config.kind,
+            address,
+            tip_height,
+            segments,
+            blocks,
+            first_height,
+            last_height,
+        )
 
     def __repr__(self) -> str:
         if self.segments is not None:

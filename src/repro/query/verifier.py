@@ -174,7 +174,7 @@ def _verify_segments(
                 config.bf_bits,
                 config.num_hashes,
                 query_range=clipped,
-                positions=cache.positions(config.num_hashes, config.bf_bits),
+                mask=cache.mask(config.num_hashes, config.bf_bits),
             )
         except VerificationError as exc:
             raise CorrectnessError(
