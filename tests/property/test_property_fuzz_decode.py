@@ -70,9 +70,7 @@ def _decoders():
         ),
         (
             "bmt_multiproof",
-            lambda raw: BmtMultiProof.deserialize(
-                ByteReader(raw), CONFIG.bf_bits, CONFIG.num_hashes
-            ),
+            lambda raw: BmtMultiProof.deserialize(ByteReader(raw), CONFIG.bf_bits),
         ),
         (
             "block_header",
